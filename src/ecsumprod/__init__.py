@@ -33,6 +33,7 @@ from .errors import (
     EcsumprodError,
     EmptyConstruction,
     IdentityHasNoX,
+    InvariantViolation,
     NotAUnit,
     NotOnCurve,
     OrderMismatch,

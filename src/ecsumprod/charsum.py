@@ -1,9 +1,11 @@
 """Additive character sums over orbit x-coordinates.
 
-The character psi_lambda(z) = exp(2*pi*i*lambda*z/p) is always read from a
-precomputed table of the p-th roots of unity; reductions happen mod p (and
-mod T for orbit indices) before any table lookup. Sums are accumulated by
-numpy, whose pairwise reduction keeps roundoff benign at desk scale.
+The character psi_lambda(z) = exp(2*pi*i*lambda*z/p). A sum at one lambda
+reads a table of the p-th roots of unity; sums at every lambda are the
+transform of a histogram on F_p, sum_z hist[z] psi_lambda(z) =
+conj(fft(hist))[lambda], which pocketfft computes in O(p log p) for prime p
+too (Bluestein's chirp-z). A real histogram makes the sum at p - lambda the
+conjugate of the sum at lambda, so scans visit lambda in [1, (p-1)/2] only.
 
 Orthogonality, (1/p) * sum_lambda psi_lambda(z) = [z = 0], is what turns
 solution counting into the factored spectra in solutions_via_characters.
@@ -20,8 +22,12 @@ from .orbit import OrbitTable
 from .sumprod import check_unit_subset, product_index_set, sum_set
 from .residue import inv_mod
 
-# Full scans touch every lambda in [1, p-1]; keep them desk-sized.
+# Full scans transform length-p histograms; keep them desk-sized.
 SCAN_CAP = 100_000
+
+# Histogram cells per block of bilinear-scan rows: the block's histograms
+# and their transforms stay near 3 * BLOCK * 8 bytes (3 MB) at any p.
+BLOCK = 1 << 17
 
 
 @lru_cache(maxsize=32)
@@ -110,10 +116,13 @@ class CharSumReport:
 
 def bilinear_ratio_scan(table: OrbitTable, k_set, m_set, nu: int,
                         cap: int = SCAN_CAP) -> CharSumReport:
-    """Scan every lambda in [1, p-1] with unit weights; report the max.
+    """Max over every nontrivial lambda of the unit-weight bilinear sum.
 
-    Deterministic by construction: lambdas ascend and only a strictly
-    larger value moves the argmax, so ties keep the smallest lambda.
+    The inner sum for a row k is the transform of the histogram of
+    x(kmP) over M, so each row costs one real FFT of length p and the scan
+    O(#K * p log p). Only lambda in [1, (p-1)/2] is scanned: lambda and
+    p - lambda give equal sums exactly, so the smaller of the pair is the
+    one reported (np.argmax takes the first of equal values).
     """
     t, p = table.order, table.p
     if p > cap:
@@ -126,18 +135,16 @@ def bilinear_ratio_scan(table: OrbitTable, k_set, m_set, nu: int,
     xs = np.array(table.xs, dtype=np.int64)
     ks = np.array(k_set, dtype=np.int64)
     ms = np.array(m_set, dtype=np.int64)
-    xmat = xs[(ks[:, None] * ms[None, :]) % t - 1]
-    roots = roots_of_unity(p)
-    block = max(1, (1 << 18) // max(1, xmat.size))
-    best_val, best_lam = -1.0, 0
-    for start in range(1, p, block):
-        lams = np.arange(start, min(start + block, p), dtype=np.int64)
-        idx = lams[:, None, None] * xmat[None, :, :] % p
-        vals = np.abs(roots[idx].sum(axis=2)).sum(axis=1)
-        i = int(np.argmax(vals))
-        if float(vals[i]) > best_val:
-            best_val, best_lam = float(vals[i]), int(lams[i])
-    return CharSumReport(nu=nu, lam=best_lam, value=best_val, rhs=rhs, ratio=best_val / rhs)
+    vals = np.zeros(p // 2)
+    step = max(1, BLOCK // p)
+    for start in range(0, len(ks), step):
+        xmat = xs[ks[start:start + step, None] * ms[None, :] % t - 1]
+        cells = xmat + p * np.arange(len(xmat), dtype=np.int64)[:, None]
+        hists = np.bincount(cells.ravel(), minlength=len(xmat) * p).reshape(-1, p)
+        vals += np.abs(np.fft.rfft(hists, axis=1)[:, 1:]).sum(axis=0)
+    i = int(np.argmax(vals))
+    best_val = float(vals[i])
+    return CharSumReport(nu=nu, lam=i + 1, value=best_val, rhs=rhs, ratio=best_val / rhs)
 
 
 def subgroup_sum(table: OrbitTable, lam: int) -> complex:
@@ -164,35 +171,17 @@ class SubgroupScanReport:
 
 
 def subgroup_scan(table: OrbitTable, cap: int = SCAN_CAP) -> SubgroupScanReport:
-    """Max of |subgroup_sum| over every nontrivial lambda."""
+    """Max of |subgroup_sum| over every nontrivial lambda, from one real FFT
+    of the x-histogram; lambda is chosen as in bilinear_ratio_scan."""
     p = table.p
     if p > cap:
         raise CapExceeded(f"full character scan needs p <= {cap}, got {p}")
-    xs = np.array(table.xs, dtype=np.int64)
-    roots = roots_of_unity(p)
-    block = max(1, (1 << 18) // max(1, xs.size))
-    best_val, best_lam = -1.0, 0
-    for start in range(1, p, block):
-        lams = np.arange(start, min(start + block, p), dtype=np.int64)
-        sums = roots[lams[:, None] * xs[None, :] % p].sum(axis=1)
-        vals = np.abs(sums)
-        i = int(np.argmax(vals))
-        if float(vals[i]) > best_val:
-            best_val, best_lam = float(vals[i]), int(lams[i])
-    return SubgroupScanReport(max_abs=best_val, lam=best_lam,
+    hist = np.bincount(np.array(table.xs, dtype=np.int64), minlength=p)
+    vals = np.abs(np.fft.rfft(hist)[1:])
+    i = int(np.argmax(vals))
+    best_val = float(vals[i])
+    return SubgroupScanReport(max_abs=best_val, lam=i + 1,
                               max_over_sqrt_p=best_val / math.sqrt(p))
-
-
-def _spectrum(p: int, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] * psi_lambda(values[j]) for every lambda in [0, p)."""
-    roots = roots_of_unity(p)
-    lams = np.arange(p, dtype=np.int64)[:, None]
-    out = np.zeros(p, dtype=complex)
-    chunk = max(1, (1 << 19) // p)
-    for start in range(0, len(values), chunk):
-        v = values[start:start + chunk]
-        out += roots[lams * v[None, :] % p] @ weights[start:start + chunk]
-    return out
 
 
 def solutions_spectrum(table: OrbitTable, a_set, b_set) -> complex:
@@ -214,22 +203,19 @@ def solutions_spectrum(table: OrbitTable, a_set, b_set) -> complex:
     if not a_set or not b_set:
         return 0j
     xs = np.array(table.xs, dtype=np.int64)
-    h_set = np.array(product_index_set(a_set, b_set, t), dtype=np.int64)
-    bs = np.array(b_set, dtype=np.int64)
-    inv_b = np.array([inv_mod(b, t) for b in b_set], dtype=np.int64)
-
-    x_hb1 = xs[(h_set[None, :] * inv_b[:, None]) % t - 1].ravel()
-    counts1 = np.bincount(x_hb1, minlength=p)
-    support1 = np.nonzero(counts1)[0].astype(np.int64)
-    s1 = _spectrum(p, support1, counts1[support1].astype(complex))
-
-    counts2 = np.bincount(xs[bs - 1], minlength=p)
-    support2 = np.nonzero(counts2)[0].astype(np.int64)
-    s2 = _spectrum(p, support2, counts2[support2].astype(complex))
-
-    s_vals = np.array(sum_set(table, a_set, b_set), dtype=np.int64)
-    s3 = _spectrum(p, s_vals, np.ones(len(s_vals), dtype=complex))
-
+    hs = np.array(product_index_set(a_set, b_set, t), dtype=np.int64)
+    # How often each k = h * b1^-1 occurs over B x H, tallied on Z_T one b1
+    # at a time (for fixed b1 the k are distinct), then moved to x(kP).
+    pop = np.zeros(t, dtype=np.int64)
+    for b in b_set:
+        pop[hs * inv_mod(b, t) % t] += 1
+    hists = np.zeros((3, p))
+    hists[0] = np.bincount(xs, weights=pop[1:], minlength=p)
+    hists[1] = np.bincount(xs[np.array(b_set, dtype=np.int64) - 1], minlength=p)
+    hists[2, list(sum_set(table, a_set, b_set))] = 1.0
+    # One call for all three: pocketfft plans a prime length afresh on every
+    # call, and the plan costs more than a transform.
+    s1, s2, s3 = np.conj(np.fft.fft(hists, axis=1))
     return complex((s1 * s2 * np.conj(s3)).sum() / p)
 
 

@@ -8,7 +8,7 @@ built on.
 
 from dataclasses import dataclass
 
-from .errors import CapExceeded, NotOnCurve, OrderNotDividing
+from .errors import CapExceeded, InvariantViolation, NotOnCurve, OrderNotDividing
 from .field import fp_inv, legendre, validate_prime_modulus
 from .residue import factorize
 
@@ -107,10 +107,6 @@ def point_add(curve: CurveParams, pt1, pt2, check: bool = False):
     return (x3, y3)
 
 
-def point_double(curve: CurveParams, point):
-    return point_add(curve, point, point)
-
-
 def scalar_mul(curve: CurveParams, k: int, point, check: bool = False):
     """k*P for k >= 0 by double-and-add (left-to-right on the bits of k)."""
     if k < 0:
@@ -157,7 +153,7 @@ def enumerate_points(curve: CurveParams, cap: int = ENUMERATION_CAP):
 
 
 def curve_summary(curve: CurveParams, cap: int = ENUMERATION_CAP) -> CurveSummary:
-    """Exhaustive group order and trace; the Hasse window is asserted, not assumed."""
+    """Exhaustive group order and trace; the Hasse window is checked, not assumed."""
     p = curve.p
     if p > cap:
         raise CapExceeded(f"curve summary needs p <= {cap}, got {p}")
@@ -165,7 +161,8 @@ def curve_summary(curve: CurveParams, cap: int = ENUMERATION_CAP) -> CurveSummar
     for x in range(p):
         n += 1 + legendre(x * x * x + curve.a4 * x + curve.a6, p)
     t = p + 1 - n
-    assert t * t <= 4 * p, f"trace {t} escapes the Hasse window for p={p}"
+    if t * t > 4 * p:
+        raise InvariantViolation(f"trace {t} escapes the Hasse window for p={p}")
     return CurveSummary(n_points=n, trace=t, ordinary=t % p != 0)
 
 

@@ -47,3 +47,7 @@ class TooLarge(EcsumprodError):
 
 class EmptyConstruction(EcsumprodError):
     """A constructed set came out empty where members were required."""
+
+
+class InvariantViolation(EcsumprodError):
+    """A fact that holds for every valid instance failed to hold."""

@@ -9,7 +9,7 @@ an error rather than a sentinel value.
 import struct
 from dataclasses import dataclass
 
-from .curve import INFINITY, CurveParams, is_on_curve, point_add, require_on_curve
+from .curve import INFINITY, CurveParams, is_on_curve, point_add, require_on_curve, scalar_mul
 from .errors import IdentityHasNoX, NotOnCurve, OrderMismatch
 
 # Versioned magic prefix of the binary cache format.
@@ -112,8 +112,6 @@ def validate_orbit(table: OrbitTable) -> None:
     symmetry, and that the recorded order annihilates the base point.
     Cheaper than a rebuild, strong enough to reject corrupted caches.
     """
-    from .curve import scalar_mul  # local import keeps module load order simple
-
     curve = table.curve()
     point = require_on_curve(curve, table.base_point())
     if table.order < 2 or len(table.xs) != table.order - 1:

@@ -19,9 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAUnit
+from .errors import InvariantViolation, NotAUnit
 from .orbit import OrbitTable
 from .residue import inv_mod, units_of
+
+# Elements per transient block in the set and count kernels (2 MB as int64).
+# Index products fit int64: T <= p + 1 + 2 sqrt(p) and p < 2^31.
+BLOCK = 1 << 18
 
 
 def check_unit_subset(members, t: int) -> tuple[int, ...]:
@@ -35,36 +39,58 @@ def check_unit_subset(members, t: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _row_blocks(n_rows: int, row_len: int):
+    """Slices of at most BLOCK // row_len rows (at least one), covering n_rows."""
+    step = max(1, BLOCK // max(1, row_len))
+    return (slice(i, i + step) for i in range(0, n_rows, step))
+
+
+def _distinct(n: int, xs: np.ndarray, ys: np.ndarray, op) -> tuple[int, ...]:
+    """Sorted distinct op(x, y) mod n over xs x ys, by a hit-mask filled in blocks."""
+    hit = np.zeros(n, dtype=bool)
+    for rows in _row_blocks(len(xs), len(ys)):
+        hit[op(xs[rows, None], ys[None, :]) % n] = True
+    return tuple(np.flatnonzero(hit).tolist())
+
+
+def _x_values(table: OrbitTable, units) -> np.ndarray:
+    """Sorted distinct x(mP) over already checked units m, by a hit-mask on F_p."""
+    hit = np.zeros(table.p, dtype=bool)
+    hit[[table.xs[m - 1] for m in units]] = True
+    return np.flatnonzero(hit)
+
+
 def sum_set(table: OrbitTable, a_set, b_set) -> tuple[int, ...]:
     """All values x(aP) + x(bP) in F_p, deduplicated and sorted."""
-    t, p = table.order, table.p
-    a_set = check_unit_subset(a_set, t)
-    b_set = check_unit_subset(b_set, t)
-    xs = table.xs
-    return tuple(sorted({(xs[a - 1] + xs[b - 1]) % p for a in a_set for b in b_set}))
+    xa = _x_values(table, check_unit_subset(a_set, table.order))
+    xb = _x_values(table, check_unit_subset(b_set, table.order))
+    return _distinct(table.p, xa, xb, np.add)
 
 
 def product_index_set(a_set, b_set, t: int) -> tuple[int, ...]:
     """All products a*b mod t; a subset of the units since A and B are."""
-    a_set = check_unit_subset(a_set, t)
-    b_set = check_unit_subset(b_set, t)
-    return tuple(sorted({a * b % t for a in a_set for b in b_set}))
+    a = np.array(check_unit_subset(a_set, t), dtype=np.int64)
+    b = np.array(check_unit_subset(b_set, t), dtype=np.int64)
+    return _distinct(t, a, b, np.multiply)
 
 
 def prod_set(table: OrbitTable, a_set, b_set) -> tuple[int, ...]:
     """All values x(abP), deduplicated and sorted."""
-    xs = table.xs
-    hs = product_index_set(a_set, b_set, table.order)
-    return tuple(sorted({xs[h - 1] for h in hs}))
+    return tuple(_x_values(table, product_index_set(a_set, b_set, table.order)).tolist())
 
 
 def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
-    """Exact quadruple count J over B x B x H x S.
+    """Exact quadruple count J over B x B x H x S, in integers only.
 
-    For each (b1, h) the equation pins u = x(h*b1^-1 P) + x(b2 P), so J is
-    a triple loop with a membership test. The loop is broadcast through
-    numpy with a bitset over F_p; a pure-Python mirror of it lives in the
-    tests and pins this implementation on small instances.
+    With c1 the histogram on F_p of x(h*b1^-1 P) over B x H and c2 that of
+    x(b2 P) over B,
+
+        J = sum over v in supp(c2) of c2[v] * sum over u in S of c1[(u - v) mod p].
+
+    c1 is tallied and the double sum evaluated in row blocks, so the work
+    is O(#B * #H + #B * #S) and the memory O(p + BLOCK). The character
+    route in charsum shares none of this; a pure-Python triple loop in the
+    tests pins it on small instances.
     """
     t, p = table.order, table.p
     b_set = check_unit_subset(b_set, t)
@@ -75,15 +101,19 @@ def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
     if any(not 0 <= u < p for u in sums):
         raise ValueError("sum values must be canonical residues mod p")
     xs = np.array(table.xs, dtype=np.int64)
-    bs = np.array(b_set, dtype=np.int64)
     hs = np.array(h_set, dtype=np.int64)
     inv_b = np.array([inv_mod(b, t) for b in b_set], dtype=np.int64)
-    x_hb1 = xs[(hs[None, :] * inv_b[:, None]) % t - 1]  # (b1, h)
-    x_b2 = xs[bs - 1]  # (b2,)
-    forced_u = (x_hb1[:, None, :] + x_b2[None, :, None]) % p  # (b1, b2, h)
-    member = np.zeros(p, dtype=bool)
-    member[sums] = True
-    return int(member[forced_u].sum())
+    c1 = np.zeros(p, dtype=np.int64)
+    for rows in _row_blocks(len(inv_b), len(hs)):
+        c1 += np.bincount(xs[inv_b[rows, None] * hs[None, :] % t - 1].ravel(), minlength=p)
+    c2 = np.bincount(xs[np.array(b_set, dtype=np.int64) - 1], minlength=p)
+    vs = np.flatnonzero(c2)
+    us = np.array(sums, dtype=np.int64)
+    total = 0
+    for rows in _row_blocks(len(vs), len(us)):
+        v = vs[rows]
+        total += int(c1[(us[None, :] - v[:, None]) % p].sum(axis=1) @ c2[v])
+    return total
 
 
 @dataclass(frozen=True)
@@ -121,8 +151,10 @@ def sum_product_report(table: OrbitTable, a_set, b_set) -> SumProductReport:
     t_vals = prod_set(table, a_set, b_set)
     j = count_solutions(table, b_set, h_set, s_vals)
     j_lower = len(a_set) * len(b_set) ** 2
-    assert j >= j_lower, f"quadruple count {j} fell below the exact bound {j_lower}"
-    assert len(t_vals) >= -(-len(h_set) // 2), "prod set smaller than half the index set"
+    if j < j_lower:
+        raise InvariantViolation(f"quadruple count {j} fell below the exact bound {j_lower}")
+    if len(t_vals) < -(-len(h_set) // 2):
+        raise InvariantViolation("prod set smaller than half the index set")
 
     log_q = math.log(q)
     delta = math.sqrt(len(h_set)) * len(b_set) ** (2 / 3) * t ** (2 / 3) * q ** (1 / 12) * log_q ** (1 / 3)

@@ -6,6 +6,7 @@ suite. Every check returns a result instead of raising, so one violation
 never hides another.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +99,14 @@ def run_identity_suite(table: OrbitTable, n_points: int, seed: int) -> list[Chec
     h_set = product_index_set(a_set, b_set, t)
     j = count_solutions(table, b_set, h_set, s_vals)
     spectrum = solutions_spectrum(table, a_set, b_set)
-    tol = max(1e-9, 1e-6 * len(b_set) ** 2 * len(h_set) * len(s_vals))
+    # FFT roundoff bound (Higham, Accuracy and Stability of Numerical
+    # Algorithms, ch. 24) through Parseval, |S1| <= #B #H and |S2| <= #B.
+    tol = (16 * np.finfo(float).eps * math.ceil(math.log2(p))
+           * len(b_set) ** 2 * len(h_set) * math.sqrt(len(s_vals)))
     ok = (
         abs(spectrum.real - j) < tol
         and abs(spectrum.imag) < tol
+        and round(spectrum.real) == j
         and j >= len(a_set) * len(b_set) ** 2
     )
     results.append(_check(

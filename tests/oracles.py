@@ -7,6 +7,7 @@ bug in the package cannot hide in its own oracle.
 
 import cmath
 import math
+import sys
 
 
 def oracle_add(p, a4, a6, pt1, pt2):
@@ -107,3 +108,32 @@ def naive_count(table, b_set, h_set, sum_values):
 def naive_subgroup_sum(table, lam):
     """sum_k psi_lambda(x(kP)) with cmath, term by term."""
     return sum(cmath.exp(2j * cmath.pi * lam * x / table.p) for x in table.xs)
+
+
+def spectrum_tolerance(p, size_b, size_h, size_s):
+    """Roundoff allowed between the character route for J and the exact J.
+
+    A normwise FFT error bound (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 24): eps * log2(p) per transform, scaled by the l2 norms
+    of the three histograms, 16 * eps * ceil(log2 p) * #B^2 * #H * sqrt(#S).
+    """
+    eps = sys.float_info.epsilon
+    return 16 * eps * math.ceil(math.log2(p)) * size_b ** 2 * size_h * math.sqrt(size_s)
+
+
+def naive_sum_set(table, a_set, b_set):
+    """Sorted distinct x(aP) + x(bP) mod p, by a Python double loop."""
+    out = set()
+    for a in a_set:
+        for b in b_set:
+            out.add((table.xs[a - 1] + table.xs[b - 1]) % table.p)
+    return tuple(sorted(out))
+
+
+def naive_prod_set(table, a_set, b_set):
+    """Sorted distinct x(abP), by a Python double loop."""
+    out = set()
+    for a in a_set:
+        for b in b_set:
+            out.add(table.xs[(a * b) % table.order - 1])
+    return tuple(sorted(out))

@@ -34,7 +34,7 @@ from ecsumprod.residue import euler_phi
 from ecsumprod.rng import SplitMix64
 from ecsumprod.sampling import discover_instance, random_curve, sample_unit_subset
 from conftest import SMALL_PRIMES
-from oracles import oracle_add, oracle_points
+from oracles import oracle_add, oracle_points, spectrum_tolerance
 
 
 @contextmanager
@@ -118,7 +118,8 @@ def test_criterion_04_orthogonality():
 
 def test_criterion_05_counting_equals_characters():
     # J by direct counting vs the character expansion on 200 random
-    # instances (p <= 1009, set sizes <= 30), within 1e-6 * (#B)^2 #H #S,
+    # instances (p <= 1009, set sizes <= 30), within the FFT roundoff bound
+    # 16 eps ceil(log2 p) (#B)^2 #H sqrt(#S) and equal after rounding,
     # plus the exact lower bound J >= #A (#B)^2; worked instance included.
     with criterion(5, "solution count equals character expansion"):
         known = build_orbit(CurveParams(5, 1, 1), (0, 1), 9)
@@ -127,7 +128,8 @@ def test_criterion_05_counting_equals_characters():
         j = count_solutions(known, [1, 2], h, s)
         assert j == 10 and j >= 2 * 4
         val = solutions_spectrum(known, [1, 2], [1, 2])
-        assert abs(val.real - 10) < 1e-6 * 4 * len(h) * len(s)
+        assert abs(val.real - 10) < spectrum_tolerance(5, 2, len(h), len(s))
+        assert round(val.real) == 10
 
         rng = SplitMix64(555)
         primes = (61, 101, 151, 211, 307, 401, 503, 601, 701, 809, 907, 1009)
@@ -145,9 +147,10 @@ def test_criterion_05_counting_equals_characters():
             j = count_solutions(table, b_set, h, s)
             assert j >= len(a_set) * len(b_set) ** 2
             val = solutions_spectrum(table, a_set, b_set)
-            tol = max(1e-9, 1e-6 * len(b_set) ** 2 * len(h) * len(s))
+            tol = spectrum_tolerance(p, len(b_set), len(h), len(s))
             assert abs(val.real - j) < tol, (curve, point, j, val)
             assert abs(val.imag) < tol
+            assert round(val.real) == j
 
 
 def test_criterion_06_mobius_identity():

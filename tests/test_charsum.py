@@ -2,9 +2,13 @@ import cmath
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import ecsumprod.charsum as charsum_module
 from ecsumprod import (
     CapExceeded,
+    CurveParams,
     DomainError,
     TrivialCharacter,
     bilinear_ratio_scan,
@@ -24,7 +28,7 @@ from ecsumprod import (
 from ecsumprod.residue import euler_phi, units_of
 from ecsumprod.rng import SplitMix64
 from ecsumprod.sampling import discover_instance, sample_unit_subset
-from oracles import naive_bilinear, naive_subgroup_sum
+from oracles import naive_bilinear, naive_subgroup_sum, spectrum_tolerance
 
 UNITS9 = units_of(9)
 
@@ -120,7 +124,7 @@ def test_bound_k_exponent():
 
 def test_scan_known_instance(known_table):
     rep = bilinear_ratio_scan(known_table, UNITS9, UNITS9, nu=1)
-    assert rep.lam == 4
+    assert rep.lam == 1
     assert rep.value == pytest.approx(19.41640786499874)
     assert rep.rhs == pytest.approx(46.89685380417448)
     assert rep.ratio == pytest.approx(rep.value / rep.rhs)
@@ -209,6 +213,55 @@ def test_solutions_match_count():
         h = product_index_set(a, b, order)
         exact = count_solutions(table, b, h, s)
         val = solutions_spectrum(table, a, b)
-        tol = max(1e-9, 1e-6 * len(b) ** 2 * len(h) * len(s))
+        tol = spectrum_tolerance(p, len(b), len(h), len(s))
         assert abs(val.real - exact) < tol
         assert abs(val.imag) < tol
+        assert round(val.real) == exact
+
+
+def _table(p, seed):
+    curve, summary, point, order = discover_instance(p, seed=seed)
+    return build_orbit(curve, point, order)
+
+
+_KNOWN = build_orbit(CurveParams(5, 1, 1), (0, 1), 9)
+_SCAN_TABLES = (_KNOWN, _table(61, 5), _table(101, 6), _table(211, 7))
+
+
+@st.composite
+def scan_inputs(draw):
+    """A table and nonempty K, M; M optionally closed under m -> T - m,
+    which puts weight 2 on its x-histogram."""
+    table = draw(st.sampled_from(_SCAN_TABLES))
+    units = units_of(table.order)
+    k = draw(st.sets(st.sampled_from(units), min_size=1, max_size=6))
+    m = draw(st.sets(st.sampled_from(units), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        m |= {table.order - j for j in m}
+    return table, k, m
+
+
+@given(scan_inputs())
+@example((_KNOWN, set(UNITS9), set(UNITS9)))
+def test_bilinear_scan_matches_full_lambda_oracle(inputs):
+    table, k, m = inputs
+    p = table.p
+    naive = [naive_bilinear(table, k, m, lam) for lam in range(1, p)]
+    # BLOCK = 1 puts every K-row in its own block
+    for block in (charsum_module.BLOCK, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(charsum_module, "BLOCK", block)
+            rep = bilinear_ratio_scan(table, k, m, nu=1)
+        assert 1 <= rep.lam <= (p - 1) // 2
+        assert rep.value == pytest.approx(max(naive), abs=1e-9)
+        assert naive[rep.lam - 1] == pytest.approx(rep.value, abs=1e-9)
+
+
+def test_subgroup_scan_matches_full_lambda_oracle():
+    for table in _SCAN_TABLES:
+        p = table.p
+        naive = [abs(naive_subgroup_sum(table, lam)) for lam in range(1, p)]
+        rep = subgroup_scan(table)
+        assert 1 <= rep.lam <= (p - 1) // 2
+        assert rep.max_abs == pytest.approx(max(naive), abs=1e-9)
+        assert naive[rep.lam - 1] == pytest.approx(rep.max_abs, abs=1e-9)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,7 +89,7 @@ def test_charsum_known_row(capsys):
     code, out, err = run(capsys, ["charsum", *KNOWN, "--nu", "1", "--format", "json"])
     assert code == 0
     row = json.loads(out)[0]
-    assert row["lam"] == 4
+    assert row["lam"] == 1
     assert row["value"] == pytest.approx(19.41640786499874)
     assert row["rhs"] == pytest.approx(46.89685380417448)
     assert row["subgroup_max"] == pytest.approx(2.0, abs=1e-9)
@@ -159,3 +163,24 @@ def test_missing_required_args():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["curve"])
+
+
+def test_sweep_csv_unchanged_under_optimize(tmp_path):
+    # invariants raise package errors rather than assert, so -O runs them too
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "mode": "theorem2", "p_list": [101, 211], "sets_per_curve": 2, "master_seed": 5,
+    }))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    outputs = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"out{len(flags)}.csv"
+        subprocess.run(
+            [sys.executable, *flags, "-m", "ecsumprod.cli", "sweep",
+             "--config", str(cfg), "--out", str(out)],
+            env=env, check=True, timeout=120)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 5

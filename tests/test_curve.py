@@ -1,10 +1,12 @@
 import pytest
 
+import ecsumprod.curve as curve_module
 from conftest import SMALL_PRIMES
 from ecsumprod import (
     CapExceeded,
     CurveParams,
     INFINITY,
+    InvariantViolation,
     NotOnCurve,
     OrderNotDividing,
     curve_summary,
@@ -137,3 +139,10 @@ def test_hasse_window_all_small_primes():
     for p in SMALL_PRIMES:
         curve, summary = random_curve(p, rng, require_ordinary=False)
         assert summary.trace * summary.trace <= 4 * p
+
+
+def test_hasse_window_violation_raises(monkeypatch, known_curve):
+    # every x a square root pair gives N = 2p + 1, far outside the window
+    monkeypatch.setattr(curve_module, "legendre", lambda a, p: 1)
+    with pytest.raises(InvariantViolation):
+        curve_summary(known_curve)
