@@ -66,7 +66,7 @@ def bilinear_sum(table: OrbitTable, k_set, m_set, lam: int,
     m_set = check_unit_subset(m_set, t)
     if not k_set or not m_set:
         return 0.0
-    xs = np.array(table.xs, dtype=np.int64)
+    xs = table.xs_array
     ks = np.array(k_set, dtype=np.int64)
     ms = np.array(m_set, dtype=np.int64)
     xmat = xs[(ks[:, None] * ms[None, :]) % t - 1]
@@ -132,7 +132,7 @@ def bilinear_ratio_scan(table: OrbitTable, k_set, m_set, nu: int,
     if not k_set or not m_set:
         raise DomainError("scan needs nonempty K and M")
     rhs = bilinear_sum_bound(nu, len(k_set), len(m_set), t, p)
-    xs = np.array(table.xs, dtype=np.int64)
+    xs = table.xs_array
     ks = np.array(k_set, dtype=np.int64)
     ms = np.array(m_set, dtype=np.int64)
     vals = np.zeros(p // 2)
@@ -157,7 +157,7 @@ def subgroup_sum(table: OrbitTable, lam: int) -> complex:
     p = table.p
     if lam % p == 0:
         raise TrivialCharacter("subgroup sum over the trivial character is just T - 1")
-    xs = np.array(table.xs, dtype=np.int64)
+    xs = table.xs_array
     return complex(roots_of_unity(p)[lam % p * xs % p].sum())
 
 
@@ -176,7 +176,7 @@ def subgroup_scan(table: OrbitTable, cap: int = SCAN_CAP) -> SubgroupScanReport:
     p = table.p
     if p > cap:
         raise CapExceeded(f"full character scan needs p <= {cap}, got {p}")
-    hist = np.bincount(np.array(table.xs, dtype=np.int64), minlength=p)
+    hist = np.bincount(table.xs_array, minlength=p)
     vals = np.abs(np.fft.rfft(hist)[1:])
     i = int(np.argmax(vals))
     best_val = float(vals[i])
@@ -202,7 +202,7 @@ def solutions_spectrum(table: OrbitTable, a_set, b_set) -> complex:
     b_set = check_unit_subset(b_set, t)
     if not a_set or not b_set:
         return 0j
-    xs = np.array(table.xs, dtype=np.int64)
+    xs = table.xs_array
     hs = np.array(product_index_set(a_set, b_set, t), dtype=np.int64)
     # How often each k = h * b1^-1 occurs over B x H, tallied on Z_T one b1
     # at a time (for fixed b1 the k are distinct), then moved to x(kP).

@@ -194,7 +194,7 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config)
     records = run_sweep(config)
     emit(records, args.format, args.out)
-    if any(r.error.startswith("IdentityViolation") for r in records):
+    if any(r.error.startswith(("IdentityViolation", "InvariantViolation")) for r in records):
         return 1
     return 0
 

@@ -8,8 +8,10 @@ built on.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapExceeded, InvariantViolation, NotOnCurve, OrderNotDividing
-from .field import fp_inv, legendre, validate_prime_modulus
+from .field import fp_inv, validate_prime_modulus
 from .residue import factorize
 
 # Affine points are (x, y); the group identity is INFINITY (= None).
@@ -18,6 +20,10 @@ INFINITY = None
 
 # Desk-scale cap for anything that walks all of F_p (point enumeration).
 ENUMERATION_CAP = 10_000_000
+
+# Elements per transient int64 block (2 MB) when tabulating f(x) or y^2 over
+# F_p; at the cap the p-length tables are the uint8 or int32 ones below.
+BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -124,31 +130,72 @@ def scalar_mul(curve: CurveParams, k: int, point, check: bool = False):
     return acc
 
 
+def _half_squares(p: int):
+    """Blocks (y, y*y mod p) over y = 0 .. (p-1)/2; those squares are distinct."""
+    h = (p - 1) // 2
+    for lo in range(0, h + 1, BLOCK):
+        y = np.arange(lo, min(lo + BLOCK, h + 1), dtype=np.int64)
+        yield y, y * y % p
+
+
+def rhs_values(curve: CurveParams, x: np.ndarray) -> np.ndarray:
+    """x^3 + a4*x + a6 mod p for an int64 array of canonical x.
+
+    Every product stays below p^2 < 2^62, so int64 never wraps. Updates
+    run in place on one temporary, the size of x.
+    """
+    f = x * x
+    f += curve.a4
+    f %= curve.p
+    f *= x
+    f += curve.a6
+    f %= curve.p
+    return f
+
+
+def _rhs_blocks(curve: CurveParams):
+    """Blocks (x0, rhs_values at x = x0, x0+1, ...) covering all of F_p."""
+    for x0 in range(0, curve.p, BLOCK):
+        yield x0, rhs_values(curve, np.arange(x0, min(x0 + BLOCK, curve.p), dtype=np.int64))
+
+
+def _root_counts(p: int) -> np.ndarray:
+    """Number of square roots (0, 1 or 2) of every residue mod p, as uint8."""
+    counts = np.zeros(p, dtype=np.uint8)
+    for _, squares in _half_squares(p):
+        counts[squares] = 2
+    counts[0] = 1
+    return counts
+
+
+def _smaller_roots(p: int) -> np.ndarray:
+    """Smaller square root of every residue mod p, -1 for non-residues (int32)."""
+    roots = np.full(p, -1, dtype=np.int32)
+    for y, squares in _half_squares(p):
+        roots[squares] = y
+    return roots
+
+
 def enumerate_points(curve: CurveParams, cap: int = ENUMERATION_CAP):
     """All points of the curve, identity first, affine points by (x, y).
 
     Returns (n_points, points) where points[0] is INFINITY. Cost is O(p):
-    one pass to tabulate square roots, one pass over x.
+    a table of smaller square roots, then f(x) for every x in blocks of
+    BLOCK; (x, y) and (x, p - y) come out already sorted since y < p - y.
     """
     p = curve.p
     if p > cap:
         raise CapExceeded(f"point enumeration needs p <= {cap}, got {p}")
-    # smaller square root of each quadratic residue
-    root = {}
-    for y in range((p - 1) // 2, -1, -1):
-        root[y * y % p] = y
+    roots = _smaller_roots(p)
     points = [INFINITY]
-    for x in range(p):
-        rhs = (x * x * x + curve.a4 * x + curve.a6) % p
-        y = root.get(rhs)
-        if y is None:
-            continue
-        if y == 0:
-            points.append((x, 0))
-        else:
-            points.append((x, y))
-            points.append((x, p - y))
-    points = [INFINITY] + sorted(points[1:])
+    append = points.append
+    for x0, rhs in _rhs_blocks(curve):
+        y_block = roots[rhs]
+        hits = np.flatnonzero(y_block >= 0)
+        for x, y in zip((hits + x0).tolist(), y_block[hits].tolist()):
+            append((x, y))
+            if y:
+                append((x, p - y))
     return len(points), points
 
 
@@ -157,9 +204,8 @@ def curve_summary(curve: CurveParams, cap: int = ENUMERATION_CAP) -> CurveSummar
     p = curve.p
     if p > cap:
         raise CapExceeded(f"curve summary needs p <= {cap}, got {p}")
-    n = 1
-    for x in range(p):
-        n += 1 + legendre(x * x * x + curve.a4 * x + curve.a6, p)
+    counts = _root_counts(p)
+    n = 1 + sum(int(counts[rhs].sum(dtype=np.int64)) for _, rhs in _rhs_blocks(curve))
     t = p + 1 - n
     if t * t > 4 * p:
         raise InvariantViolation(f"trace {t} escapes the Hasse window for p={p}")

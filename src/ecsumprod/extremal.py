@@ -87,7 +87,7 @@ def mobius_identity_residual(table: OrbitTable, lam: int) -> float:
     t, p = table.order, table.p
     if t < 2:
         raise ValueError("identity needs order >= 2")
-    xs = np.array(table.xs, dtype=np.int64)
+    xs = table.xs_array
     roots = roots_of_unity(p)
     lam %= p
     units = np.array(units_of(t), dtype=np.int64)

@@ -67,17 +67,22 @@ def max_order_point(curve: CurveParams, points, n_points: int, rng: SplitMix64,
     """Affine point of maximal order among seeded random samples.
 
     Draws (with replacement) from the affine points and keeps the first
-    point attaining the largest order seen. Returns (point, order).
+    point attaining the largest order seen. Returns (point, order). All
+    draws are taken before any order is computed, so the rng advances the
+    same whatever the orders; orders are then computed in draw order up to
+    the first point of order n_points, which no later sample can beat.
     """
     affine = points[1:]  # points[0] is the identity
     if not affine:
         raise ValueError("curve has no affine points to sample")
+    draws = [affine[rng.below(len(affine))] for _ in range(min(samples, len(affine)) or 1)]
     best, best_order = None, 0
-    for _ in range(min(samples, len(affine)) or 1):
-        candidate = affine[rng.below(len(affine))]
+    for candidate in draws:
         order = point_order(curve, candidate, n_points)
         if order > best_order:
             best, best_order = candidate, order
+        if order == n_points:
+            break
     return best, best_order
 
 

@@ -100,7 +100,7 @@ def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
         return 0
     if any(not 0 <= u < p for u in sums):
         raise ValueError("sum values must be canonical residues mod p")
-    xs = np.array(table.xs, dtype=np.int64)
+    xs = table.xs_array
     hs = np.array(h_set, dtype=np.int64)
     inv_b = np.array([inv_mod(b, t) for b in b_set], dtype=np.int64)
     c1 = np.zeros(p, dtype=np.int64)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import ecsumprod.sumprod as sumprod_module
 from ecsumprod.cli import main, parse_member_set
 from ecsumprod.orbit import load_orbit
 from ecsumprod.sweep import RECORD_FIELDS
@@ -127,6 +128,15 @@ def test_sweep_identities_exit_zero(tmp_path, capsys):
     assert code == 0
     rows = json.loads(out)
     assert all(r["error"] == "" for r in rows)
+
+
+def test_sweep_invariant_violation_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sumprod_module, "count_solutions", lambda *args: 0)
+    cfg = tmp_path / "thm2.json"
+    cfg.write_text(json.dumps({"mode": "theorem2", "p_list": [5, 7], "master_seed": 42}))
+    code, out, err = run(capsys, ["sweep", "--config", str(cfg), "--format", "json"])
+    assert code == 1
+    assert [r["error"] for r in json.loads(out)] == ["InvariantViolation"] * 2
 
 
 def test_exit_two_on_bad_config(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import ecsumprod.curve as curve_module
@@ -18,7 +19,7 @@ from ecsumprod import (
     scalar_mul,
 )
 from ecsumprod.rng import SplitMix64
-from ecsumprod.sampling import random_curve
+from ecsumprod.sampling import max_order_point, random_curve
 from oracles import oracle_add, oracle_points, oracle_scalar
 
 
@@ -143,6 +144,38 @@ def test_hasse_window_all_small_primes():
 
 def test_hasse_window_violation_raises(monkeypatch, known_curve):
     # every x a square root pair gives N = 2p + 1, far outside the window
-    monkeypatch.setattr(curve_module, "legendre", lambda a, p: 1)
+    monkeypatch.setattr(curve_module, "_root_counts", lambda p: np.full(p, 2, dtype=np.uint8))
     with pytest.raises(InvariantViolation):
         curve_summary(known_curve)
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_count_and_enumeration_match_oracle(p):
+    # a6 = 0 curves carry the 2-torsion point (0, 0), so y = 0 rows occur
+    tried = 0
+    for a4, a6 in {(1, 0), (p - 1, 0), (0, 1), (1, 1), (2, 3), (3, p - 2)}:
+        try:
+            curve = CurveParams(p, a4, a6)
+        except ValueError:  # singular for this p
+            continue
+        tried += 1
+        expected = oracle_points(p, curve.a4, curve.a6)
+        n, pts = enumerate_points(curve)
+        assert pts == expected
+        assert n == len(expected) == curve_summary(curve).n_points
+    assert tried >= 4
+
+
+def test_max_order_point_matches_full_scan():
+    # stopping at the first point of order N keeps the pick and the rng stream
+    for p in (13, 101, 1009):
+        for seed in range(4):
+            rng = SplitMix64(seed)
+            curve, summary = random_curve(p, rng)
+            n, pts = enumerate_points(curve)
+            ref = SplitMix64(rng.state)
+            draws = [pts[1 + ref.below(n - 1)] for _ in range(min(30, n - 1))]
+            orders = [point_order(curve, q, n) for q in draws]
+            best = orders.index(max(orders))
+            assert max_order_point(curve, pts, n, rng) == (draws[best], orders[best])
+            assert rng.next_u64() == ref.next_u64()

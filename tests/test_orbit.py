@@ -1,7 +1,9 @@
 import struct
 
+import numpy as np
 import pytest
 
+import ecsumprod.orbit as orbit_module
 from ecsumprod import (
     CurveParams,
     IdentityHasNoX,
@@ -18,6 +20,7 @@ from ecsumprod import (
 from ecsumprod.orbit import CACHE_MAGIC, OrbitTable, validate_orbit
 from ecsumprod.rng import SplitMix64
 from ecsumprod.sampling import discover_instance
+from oracles import oracle_add
 
 
 def test_known_orbit(known_table):
@@ -122,3 +125,62 @@ def test_random_orbits_symmetric_and_consistent():
         assert point_order(curve, point, summary.n_points) == order
         _, pts = enumerate_points(curve)
         assert point in pts
+
+
+def _oracle_walk(curve, point):
+    """x(kP) for k = 1 .. T-1 by repeated oracle addition, and T."""
+    xs, acc = [], point
+    while acc is not None:
+        xs.append(acc[0])
+        acc = oracle_add(curve.p, curve.a4, curve.a6, acc, point)
+    return tuple(xs), len(xs) + 1
+
+
+# LANES = 1 and 2 put a doubling inside a lane on every curve; with 2 and 3
+# the larger orbits take many lane rows, and 3 leaves a partial last row.
+@pytest.mark.parametrize("lanes", [1, 2, 3, orbit_module.LANES])
+def test_walk_matches_oracle_on_every_point(monkeypatch, lanes):
+    monkeypatch.setattr(orbit_module, "LANES", lanes)
+    orders = set()
+    for p, a4, a6 in ((5, 1, 1), (7, 1, 0), (11, 1, 0), (13, 2, 3), (23, 1, 1), (37, 2, 0)):
+        curve = CurveParams(p, a4, a6)
+        _, pts = enumerate_points(curve)
+        for q in pts[1:]:
+            xs, t = _oracle_walk(curve, q)
+            orders.add(t)
+            assert build_orbit(curve, q, t).xs == xs
+            for bad in {t - 1, t + 1, 2 * t, t // 2}:
+                with pytest.raises(OrderMismatch):
+                    build_orbit(curve, q, bad)
+    assert {2, 3} <= orders
+    assert any(t % 2 and t > 3 for t in orders) and any(t % 2 == 0 and t > 4 for t in orders)
+
+
+def test_order_above_hasse_bound_rejected(known_curve):
+    # N <= p + 1 + 2 sqrt(p) < 11; a huge order is refused before the walk
+    # would ask for its arrays
+    for order in (11, 10**15):
+        with pytest.raises(OrderMismatch):
+            build_orbit(known_curve, (0, 1), order)
+
+
+def test_large_table_spot_values():
+    curve, _, point, order = discover_instance(100_003, seed=1)
+    table = build_orbit(curve, point, order)
+    assert len(table.xs) == order - 1
+    lanes = orbit_module.LANES
+    ks = {1, 2, lanes - 1, lanes, lanes + 1, 2 * lanes + 1,
+          order // 2, order // 2 + 1, order - 1}
+    rng = SplitMix64(2)
+    ks |= {1 + rng.below(order - 1) for _ in range(40)}
+    for k in ks:
+        assert table.xs[k - 1] == scalar_mul(curve, k, point)[0]
+
+
+def test_xs_array_is_a_cached_read_only_view(known_curve, known_table):
+    arr = known_table.xs_array
+    assert arr.dtype == np.int64 and arr.tolist() == list(known_table.xs)
+    assert not arr.flags.writeable and known_table.xs_array is arr
+    fresh = build_orbit(known_curve, (0, 1), 9)
+    assert fresh == known_table and hash(fresh) == hash(known_table)
+    assert repr(fresh) == repr(known_table) and "xs_array" not in repr(known_table)
