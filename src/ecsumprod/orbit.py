@@ -177,12 +177,13 @@ def validate_orbit(table: OrbitTable) -> None:
     point = require_on_curve(curve, table.base_point())
     if table.order < 2 or len(table.xs) != table.order - 1:
         raise OrderMismatch("table length disagrees with the recorded order")
-    if any(not (0 <= x < table.p) for x in table.xs):
+    xs = np.array(table.xs)  # int64, or uint64/object if a value overflows int64
+    if xs.min() < 0 or xs.max() >= table.p:
         raise ValueError("x-value out of field range")
     if table.xs[0] != table.px:
         raise ValueError("first table entry must be x(P)")
-    for k in range(1, table.order):
-        if table.xs[k - 1] != table.xs[table.order - k - 1]:
-            raise ValueError(f"symmetry x(kP) = x((T-k)P) fails at k={k}")
+    asymmetric = np.flatnonzero(xs != xs[::-1])
+    if len(asymmetric):
+        raise ValueError(f"symmetry x(kP) = x((T-k)P) fails at k={asymmetric[0] + 1}")
     if scalar_mul(curve, table.order, point) is not INFINITY:
         raise OrderMismatch("recorded order does not annihilate the base point")

@@ -48,8 +48,8 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
-def units_of(t: int) -> tuple[int, ...]:
-    """The unit group of Z_t as a sorted tuple, t >= 2."""
+def unit_array(t: int) -> np.ndarray:
+    """The unit group of Z_t as a sorted int64 array, t >= 2."""
     if t < 2:
         raise ValueError("units_of needs t >= 2")
     # Sieve out the multiples of each prime factor: 8x faster than np.gcd
@@ -58,7 +58,12 @@ def units_of(t: int) -> tuple[int, ...]:
     unit[0] = False
     for q, _ in factorize(t):
         unit[::q] = False
-    return tuple(np.flatnonzero(unit).tolist())
+    return np.flatnonzero(unit)
+
+
+def units_of(t: int) -> tuple[int, ...]:
+    """The unit group of Z_t as a sorted tuple, t >= 2."""
+    return tuple(unit_array(t).tolist())
 
 
 def inv_mod(a: int, t: int) -> int:

@@ -13,28 +13,31 @@ from .curve import (
     point_order,
 )
 from .errors import TooLarge
-from .residue import units_of
+from .residue import unit_array
 from .rng import SplitMix64
 
 
 def sample_unit_subset(t: int, k: int, seed: int) -> tuple[int, ...]:
     """k distinct units of Z_t, drawn by a partial Fisher-Yates shuffle.
 
-    The shuffle walks the sorted unit tuple using SplitMix64(seed).below
-    for the swap indices; the first k slots are returned sorted. Equal
-    (t, k, seed) always produce the same subset, and k = phi(t) returns
-    the whole unit group no matter the seed.
+    The shuffle walks the sorted unit array using SplitMix64(seed).below
+    for the swap indices; the first k slots are returned sorted. Only the
+    slots a swap touched are stored, so a draw costs O(k) besides the
+    sieve. Equal (t, k, seed) always produce the same subset, and
+    k = phi(t) returns the whole unit group no matter the seed.
     """
-    pool = list(units_of(t))
+    pool = unit_array(t)
+    n = len(pool)
     if k < 0:
         raise ValueError("subset size must be nonnegative")
-    if k > len(pool):
-        raise TooLarge(f"asked for {k} of the {len(pool)} units mod {t}")
+    if k > n:
+        raise TooLarge(f"asked for {k} of the {n} units mod {t}")
     rng = SplitMix64(seed)
+    moved = {}  # slot -> unit swapped into it; other slots still hold pool[slot]
     for i in range(k):
-        j = i + rng.below(len(pool) - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return tuple(sorted(pool[:k]))
+        j = i + rng.below(n - i)
+        moved[i], moved[j] = moved.get(j, pool[j]), moved.get(i, pool[i])
+    return tuple(sorted(int(moved[i]) for i in range(k)))
 
 
 def random_curve(

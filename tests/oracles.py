@@ -137,3 +137,35 @@ def naive_prod_set(table, a_set, b_set):
         for b in b_set:
             out.add(table.xs[(a * b) % table.order - 1])
     return tuple(sorted(out))
+
+
+class OracleNotAUnit(Exception):
+    """Stands in for the package's NotAUnit, which the oracles do not import."""
+
+
+def oracle_check_unit_subset(members, t, not_a_unit=OracleNotAUnit):
+    """The Python unit-subset validator the package used before its numpy one:
+    sorted distinct members, the smallest bad one raising ValueError (outside
+    [1, t-1]) or not_a_unit (shares a factor with t)."""
+    out = sorted(set(int(m) for m in members))
+    for m in out:
+        if not 1 <= m < t:
+            raise ValueError(f"set member {m} outside [1, {t - 1}]")
+        if math.gcd(m, t) != 1:
+            raise not_a_unit(f"set member {m} is not a unit mod {t}")
+    return tuple(out)
+
+
+def oracle_sample_unit_subset(t, k, rng, too_large=ValueError):
+    """The partial Fisher-Yates draw the package used before its sparse one:
+    shuffle a full list of the units of Z_t with rng.below, return the first
+    k slots sorted. rng is a fresh SplitMix64 of the seed under test."""
+    pool = [m for m in range(1, t) if math.gcd(m, t) == 1]
+    if k < 0:
+        raise ValueError("subset size must be nonnegative")
+    if k > len(pool):
+        raise too_large(f"asked for {k} of the {len(pool)} units mod {t}")
+    for i in range(k):
+        j = i + rng.below(len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return tuple(sorted(pool[:k]))

@@ -116,6 +116,19 @@ def test_validate_orbit_catches_symmetry_break(known_table):
         validate_orbit(broken)
 
 
+def test_validate_orbit_reports_first_failure(known_table):
+    fields = dict(p=5, a4=1, a6=1, px=0, py=1, order=9)
+    xs = list(known_table.xs)  # (0, 4, 2, 3, 3, 2, 4, 0)
+    xs[2], xs[5] = 0, 1  # breaks the symmetry at k = 3, 6 (and 3 = 9 - 6)
+    with pytest.raises(ValueError, match=r"fails at k=3$"):
+        validate_orbit(OrbitTable(xs=tuple(xs), **fields))
+    for bad in ((-1, -1), (5, 5), (2**64 - 1, 2**64 - 1), (-1, 2**64 - 1)):
+        xs = list(known_table.xs)
+        xs[3], xs[4] = bad  # symmetric when equal; only the range is wrong
+        with pytest.raises(ValueError, match="out of field range"):
+            validate_orbit(OrbitTable(xs=tuple(xs), **fields))
+
+
 def test_random_orbits_symmetric_and_consistent():
     for i, p in enumerate((101, 211, 307)):
         curve, summary, point, order = discover_instance(p, seed=500 + i)

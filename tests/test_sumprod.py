@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -21,10 +22,18 @@ from ecsumprod import (
     sum_set,
 )
 from ecsumprod.cli import main
+from ecsumprod.errors import TooLarge
 from ecsumprod.residue import euler_phi, units_of
 from ecsumprod.rng import SplitMix64
 from ecsumprod.sampling import discover_instance, sample_unit_subset
-from oracles import naive_count, naive_prod_set, naive_sum_set
+from ecsumprod.sumprod import check_unit_subset
+from oracles import (
+    naive_count,
+    naive_prod_set,
+    naive_sum_set,
+    oracle_check_unit_subset,
+    oracle_sample_unit_subset,
+)
 
 
 def test_sum_set_examples(known_table):
@@ -200,3 +209,86 @@ def test_invariant_violation_fails_the_cell(monkeypatch, capsys):
     argv = ["sumprod", "--p", "5", "--a4", "1", "--a6", "1", "--px", "0", "--py", "1"]
     assert main(argv) == 2
     assert "quadruple count 0" in capsys.readouterr().err
+
+
+def _outcome(fn, *args):
+    """A call's result, or its exception class and message."""
+    try:
+        return fn(*args)
+    except (ValueError, NotAUnit, TooLarge) as exc:
+        return type(exc), str(exc)
+
+
+def _container(kind, members):
+    """members in one of the shapes callers pass: a fresh one per call."""
+    if kind == "generator":
+        return (m for m in members)
+    if kind == "numpy ints":
+        return [np.int32(m) if abs(m) < 2**31 else m for m in members]
+    if kind == "ndarray":
+        try:
+            return np.array(members, dtype=np.int64)
+        except OverflowError:
+            return np.array(members, dtype=object)
+    if kind == "uint64 ndarray":
+        return np.array([m % 2**64 for m in members], dtype=np.uint64)
+    return {"list": list, "tuple": tuple, "set": set}[kind](members)
+
+
+_KINDS = ("list", "tuple", "set", "generator", "numpy ints", "ndarray", "uint64 ndarray")
+_SMALL = st.integers(-3, 63)
+_HUGE = st.sampled_from([2**63, -(2**63) - 1, 2**70])
+
+
+@given(st.integers(1, 60), st.sampled_from(_KINDS),
+       st.lists(st.one_of(_SMALL, _SMALL, _SMALL, _HUGE), max_size=12), st.booleans())
+@example(9, "list", [3, 0], False)  # the smallest bad member decides: 0
+@example(9, "ndarray", [4, 2**63, 3], False)
+@example(9, "uint64 ndarray", [2, -1], False)
+@example(1, "tuple", [], False)
+def test_unit_validator_matches_oracle(t, kind, members, units_only):
+    if units_only:  # the valid path, with duplicates
+        members = [m for m in members if 1 <= m < t and math.gcd(m, t) == 1] * 2
+    got = _outcome(check_unit_subset, _container(kind, members), t)
+    want = _outcome(oracle_check_unit_subset, _container(kind, members), t, NotAUnit)
+    assert got == want
+    if not (got and isinstance(got[0], type)):
+        assert all(type(m) is int for m in got)
+
+
+@given(kernel_inputs())
+@example((_KNOWN, {1}, {1, 2}, {1, 2, 4}, {0, 4}))  # x(2P) = p - 1: c1ext read at p and 2p - 1
+def test_count_solutions_array_inputs(inputs):
+    table, a, b, h, sums = inputs
+    want = naive_count(table, b, h, sums)
+    sorted_arrays = [np.array(sorted(x), dtype=np.int64) for x in (b, h, sums)]
+    repeated_arrays = [np.array(list(x) * 2, dtype=np.int64) for x in (b, h, sums)]
+    for block in (sumprod_module.BLOCK, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sumprod_module, "BLOCK", block)
+            assert count_solutions(table, tuple(b), tuple(h), tuple(sums)) == want
+            assert count_solutions(table, *sorted_arrays) == want
+            assert count_solutions(table, *repeated_arrays) == want
+            a_arr, b_arr = np.array(sorted(a), dtype=np.int64), sorted_arrays[0]
+            assert sum_product_report(table, a_arr, b_arr) == sum_product_report(table, a, b)
+
+
+def test_count_wrap_example_is_live():
+    # the @example above only covers the wrap if some quadruple lands there
+    assert _KNOWN.xs[1] == _KNOWN.p - 1
+    assert naive_count(_KNOWN, {1, 2}, {1, 2, 4}, {0, 4}) > 0
+
+
+def test_sample_unit_subset_matches_oracle():
+    rng = SplitMix64(77)
+    cases = [(t, k) for t in range(2, 120)
+             for k in sorted({0, 1, euler_phi(t) // 2, euler_phi(t)})]
+    cases += [(9971, 0), (9971, 56), (10205, 56), (10205, euler_phi(10205))]
+    for t, k in cases:
+        for _ in range(3):
+            seed = rng.next_u64()
+            assert sample_unit_subset(t, k, seed) == oracle_sample_unit_subset(
+                t, k, SplitMix64(seed)), (t, k, seed)
+    for t, k in ((10, 5), (10, -1), (97, 97)):
+        assert _outcome(sample_unit_subset, t, k, 1) == _outcome(
+            oracle_sample_unit_subset, t, k, SplitMix64(1), TooLarge)

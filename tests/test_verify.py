@@ -1,3 +1,5 @@
+import dataclasses
+
 from ecsumprod import build_orbit, run_identity_suite
 from ecsumprod.curve import CurveParams, curve_summary
 from ecsumprod.sampling import discover_instance
@@ -49,3 +51,12 @@ def test_violation_is_reported_not_raised(known_table, known_summary):
     by_name = {r.name: r for r in results}
     assert not by_name["group_order"].ok
     assert by_name["orbit_symmetry"].ok
+
+
+def test_orbit_symmetry_check_sees_a_broken_table(known_table, known_summary):
+    xs = list(known_table.xs)
+    xs[1] = 1  # x(2P) no longer equals x(7P)
+    broken = dataclasses.replace(known_table, xs=tuple(xs))
+    by_name = {r.name: r for r in run_identity_suite(broken, known_summary.n_points, seed=7)}
+    assert not by_name["orbit_symmetry"].ok
+    assert by_name["group_order"].ok
