@@ -8,19 +8,26 @@ sweep. Every run is seeded and reproducible; outputs go to stdout or
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 
 from .charsum import bilinear_ratio_scan, subgroup_scan
-from .curve import CurveParams, curve_summary, enumerate_points, point_order
+from .curve import CurveParams, curve_summary, point_order
 from .errors import EcsumprodError
 from .extremal import extremal_report
 from .orbit import build_orbit, save_orbit
+from .residue import units_of
 from .rng import SplitMix64
 from .sampling import max_order_point, random_curve
-from .sumprod import full_unit_instance, sum_product_report
-from .sweep import emit, load_config, run_sweep
+from .sumprod import sum_product_report
+from .sweep import (
+    emit,
+    extremal_columns,
+    instance_columns,
+    load_config,
+    run_sweep,
+    sumprod_columns,
+)
 from .verify import run_identity_suite
 
 CURVE_FIELDS = ("p", "a4", "a6", "N", "t", "ordinary", "Px", "Py", "T")
@@ -88,8 +95,7 @@ def resolve_instance(args):
         point = (args.px % curve.p, args.py % curve.p)
         order = point_order(curve, point, summary.n_points)
     else:
-        _, points = enumerate_points(curve)
-        point, order = max_order_point(curve, points, summary.n_points, rng)
+        point, order = max_order_point(curve, summary.n_points, rng)
     return curve, summary, point, order, build_orbit(curve, point, order)
 
 
@@ -99,13 +105,9 @@ def cmd_curve_find(args) -> int:
     for _ in range(args.count):
         curve, summary = random_curve(
             args.p, rng, require_ordinary=not args.allow_supersingular)
-        _, points = enumerate_points(curve)
-        point, order = max_order_point(curve, points, summary.n_points, rng)
-        rows.append({
-            "p": curve.p, "a4": curve.a4, "a6": curve.a6,
-            "N": summary.n_points, "t": summary.trace, "ordinary": summary.ordinary,
-            "Px": point[0], "Py": point[1], "T": order,
-        })
+        point, order = max_order_point(curve, summary.n_points, rng)
+        rows.append({**instance_columns(curve, summary, point, order),
+                     "ordinary": summary.ordinary})
     emit(rows, args.format, args.out, CURVE_FIELDS)
     return 0
 
@@ -137,17 +139,11 @@ def cmd_verify(args) -> int:
 
 def cmd_sumprod(args) -> int:
     curve, summary, point, order, table = resolve_instance(args)
-    a_set = parse_member_set(args.setA) or full_unit_instance(table)
-    b_set = parse_member_set(args.setB) or full_unit_instance(table)
+    a_set = parse_member_set(args.setA) or units_of(order)
+    b_set = parse_member_set(args.setB) or units_of(order)
     rep = sum_product_report(table, a_set, b_set)
     row = {
-        "p": curve.p, "a4": curve.a4, "a6": curve.a6,
-        "N": summary.n_points, "t": summary.trace, "T": order,
-        "Px": point[0], "Py": point[1],
-        "sizeA": rep.size_a, "sizeB": rep.size_b, "sizeS": rep.size_s,
-        "sizeT": rep.size_t, "sizeH": rep.size_h,
-        "J": rep.solutions, "J_lower": rep.solutions_lower, "Delta": rep.delta,
-        "thm_lhs": float(rep.lhs), "thm_rhs": rep.rhs, "ratio": rep.ratio,
+        **instance_columns(curve, summary, point, order), **sumprod_columns(rep),
         "min_branch": rep.min_branch, "exponent": rep.exponent,
     }
     emit([row], args.format, args.out, SUMPROD_FIELDS)
@@ -156,14 +152,12 @@ def cmd_sumprod(args) -> int:
 
 def cmd_charsum(args) -> int:
     curve, summary, point, order, table = resolve_instance(args)
-    k_set = parse_member_set(args.setA) or full_unit_instance(table)
-    m_set = parse_member_set(args.setB) or full_unit_instance(table)
+    k_set = parse_member_set(args.setA) or units_of(order)
+    m_set = parse_member_set(args.setB) or units_of(order)
     rep = bilinear_ratio_scan(table, k_set, m_set, args.nu)
     sub = subgroup_scan(table)
     row = {
-        "p": curve.p, "a4": curve.a4, "a6": curve.a6,
-        "N": summary.n_points, "t": summary.trace, "T": order,
-        "Px": point[0], "Py": point[1], "nu": rep.nu,
+        **instance_columns(curve, summary, point, order), "nu": rep.nu,
         "sizeK": len(set(k_set)), "sizeM": len(set(m_set)),
         "lam": rep.lam, "value": rep.value, "rhs": rep.rhs, "ratio": rep.ratio,
         "subgroup_max": sub.max_abs, "subgroup_lam": sub.lam,
@@ -177,14 +171,8 @@ def cmd_extremal(args) -> int:
     curve, summary, point, order, table = resolve_instance(args)
     rep = extremal_report(table, args.H)
     row = {
-        "p": curve.p, "a4": curve.a4, "a6": curve.a6,
-        "N": summary.n_points, "t": summary.trace, "T": order,
-        "Px": point[0], "Py": point[1], "H": rep.h_window,
-        "sizeA": rep.size_a, "sizeS": rep.size_s, "sizeT": rep.size_t,
+        **instance_columns(curve, summary, point, order), **extremal_columns(rep),
         "bound_2h_ok": rep.bound_2h_ok, "bound_phi_ok": rep.bound_phi_ok,
-        "ratio": rep.ratio, "predicted_sizeA": rep.predicted_size_a,
-        "sizeA_over_predicted": (rep.size_a / rep.predicted_size_a
-                                 if rep.predicted_size_a > 0 else None),
     }
     emit([row], args.format, args.out, EXTREMAL_FIELDS)
     return 0

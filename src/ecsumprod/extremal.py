@@ -13,7 +13,7 @@ import numpy as np
 
 from .charsum import roots_of_unity
 from .orbit import OrbitTable
-from .residue import divisors, euler_phi, mobius, units_of
+from .residue import divisors, euler_phi, mobius, unit_array
 from .sumprod import prod_set, sum_set
 
 
@@ -21,8 +21,8 @@ def units_with_x_below(table: OrbitTable, window: int) -> tuple[int, ...]:
     """Units a of Z_T with x(aP) < window, sorted."""
     if window < 0:
         raise ValueError("window must be nonnegative")
-    xs = table.xs
-    return tuple(a for a in units_of(table.order) if xs[a - 1] < window)
+    units = unit_array(table.order)
+    return tuple(units[table.xs_array[units - 1] < window].tolist())
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def mobius_identity_residual(table: OrbitTable, lam: int) -> float:
     xs = table.xs_array
     roots = roots_of_unity(p)
     lam %= p
-    units = np.array(units_of(t), dtype=np.int64)
+    units = unit_array(t)
     lhs = roots[lam * xs[units - 1] % p].sum()
     rhs = 0j
     for d in divisors(t):

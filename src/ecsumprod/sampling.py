@@ -65,16 +65,18 @@ def random_curve(
     raise RuntimeError(f"no usable curve over F_{p} after {max_tries} draws")
 
 
-def max_order_point(curve: CurveParams, points, n_points: int, rng: SplitMix64,
-                    samples: int = 30):
+def max_order_point(curve: CurveParams, n_points: int, rng: SplitMix64,
+                    samples: int = 30, cap: int = ENUMERATION_CAP):
     """Affine point of maximal order among seeded random samples.
 
-    Draws (with replacement) from the affine points and keeps the first
-    point attaining the largest order seen. Returns (point, order). All
-    draws are taken before any order is computed, so the rng advances the
-    same whatever the orders; orders are then computed in draw order up to
-    the first point of order n_points, which no later sample can beat.
+    Enumerates the points (refusing past cap), then draws with replacement
+    from the affine ones and keeps the first point attaining the largest
+    order seen. Returns (point, order); the point list is freed on return.
+    All draws are taken before any order is computed, so the rng advances
+    the same whatever the orders; orders are then computed in draw order up
+    to the first point of order n_points, which no later sample can beat.
     """
+    _, points = enumerate_points(curve, cap=cap)
     affine = points[1:]  # points[0] is the identity
     if not affine:
         raise ValueError("curve has no affine points to sample")
@@ -94,6 +96,5 @@ def discover_instance(p: int, seed: int, require_ordinary: bool = True,
     """One-stop seeded instance: (curve, summary, point, order)."""
     rng = SplitMix64(seed)
     curve, summary = random_curve(p, rng, require_ordinary=require_ordinary, cap=cap)
-    _, points = enumerate_points(curve, cap=cap)
-    point, order = max_order_point(curve, points, summary.n_points, rng)
+    point, order = max_order_point(curve, summary.n_points, rng, cap=cap)
     return curve, summary, point, order

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NotAUnit
 from .orbit import OrbitTable
-from .residue import inv_mod, units_of
+from .residue import inv_mod
 
 # Elements per transient block in the set and count kernels: a block's
 # int64 temporaries (256 kB each) stay in a 2 MB L2 cache. count_solutions
@@ -232,8 +232,3 @@ def sum_product_report(table: OrbitTable, a_set, b_set) -> SumProductReport:
         min_branch="q_side" if rhs_q <= rhs_bilinear else "bilinear_side",
         exponent=exponent,
     )
-
-
-def full_unit_instance(table: OrbitTable) -> tuple[int, ...]:
-    """The whole unit group of Z_order, the default A = B at desk scale."""
-    return units_of(table.order)

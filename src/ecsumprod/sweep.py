@@ -16,14 +16,14 @@ import sys
 from dataclasses import asdict, dataclass, fields
 
 from .charsum import SCAN_CAP, bilinear_ratio_scan
-from .curve import ENUMERATION_CAP, enumerate_points
+from .curve import ENUMERATION_CAP
 from .errors import EcsumprodError
 from .extremal import extremal_report
 from .field import is_prime
 from .orbit import build_orbit
 from .residue import euler_phi
-from .rng import SplitMix64, derive_seed
-from .sampling import max_order_point, random_curve, sample_unit_subset
+from .rng import derive_seed
+from .sampling import discover_instance, sample_unit_subset
 from .sumprod import sum_product_report
 from .verify import run_identity_suite
 
@@ -186,18 +186,38 @@ class ExperimentRecord:
 RECORD_FIELDS = tuple(f.name for f in fields(ExperimentRecord))
 
 
-def _instance_columns(curve, summary, table) -> dict:
+def instance_columns(curve, summary, point, order) -> dict:
+    """The columns that name an instance: the curve, its group, P and T."""
     return {
-        "a4": curve.a4, "a6": curve.a6,
+        "p": curve.p, "a4": curve.a4, "a6": curve.a6,
         "N": summary.n_points, "t": summary.trace,
-        "T": table.order, "Px": table.px, "Py": table.py,
+        "T": order, "Px": point[0], "Py": point[1],
     }
 
 
-def _run_experiment(config: SweepConfig, exp_id: int, seed: int,
-                    curve, summary, table) -> ExperimentRecord:
-    base = dict(experiment_id=exp_id, p=curve.p, seed=seed, nu=config.nu,
-                **_instance_columns(curve, summary, table))
+def sumprod_columns(rep) -> dict:
+    """Columns of a SumProductReport shared by theorem2 and `sumprod`."""
+    return {
+        "sizeA": rep.size_a, "sizeB": rep.size_b, "sizeS": rep.size_s,
+        "sizeT": rep.size_t, "sizeH": rep.size_h,
+        "J": rep.solutions, "J_lower": rep.solutions_lower, "Delta": rep.delta,
+        "thm_lhs": float(rep.lhs), "thm_rhs": rep.rhs, "ratio": rep.ratio,
+    }
+
+
+def extremal_columns(rep) -> dict:
+    """Columns of an ExtremalReport shared by theorem3 and `extremal`."""
+    return {
+        "H": rep.h_window, "sizeA": rep.size_a,
+        "sizeS": rep.size_s, "sizeT": rep.size_t,
+        "ratio": rep.ratio, "predicted_sizeA": rep.predicted_size_a,
+        "sizeA_over_predicted": (rep.size_a / rep.predicted_size_a
+                                 if rep.predicted_size_a > 0 else None),
+    }
+
+
+def _run_experiment(config: SweepConfig, base: dict, summary, table) -> ExperimentRecord:
+    seed = base["seed"]
     phi = euler_phi(table.order)
     k = config.set_size(phi)
 
@@ -205,13 +225,7 @@ def _run_experiment(config: SweepConfig, exp_id: int, seed: int,
         a_set = sample_unit_subset(table.order, k, derive_seed(seed, 1))
         b_set = sample_unit_subset(table.order, k, derive_seed(seed, 2))
         rep = sum_product_report(table, a_set, b_set)
-        return ExperimentRecord(
-            **base,
-            sizeA=rep.size_a, sizeB=rep.size_b, sizeS=rep.size_s,
-            sizeT=rep.size_t, sizeH=rep.size_h,
-            J=rep.solutions, J_lower=rep.solutions_lower, Delta=rep.delta,
-            thm_lhs=float(rep.lhs), thm_rhs=rep.rhs, ratio=rep.ratio,
-        )
+        return ExperimentRecord(**base, **sumprod_columns(rep))
 
     if config.mode == "theorem1":
         k_set = sample_unit_subset(table.order, k, derive_seed(seed, 1))
@@ -225,15 +239,10 @@ def _run_experiment(config: SweepConfig, exp_id: int, seed: int,
 
     if config.mode == "theorem3":
         rep = extremal_report(table)
-        thm_rhs = math.sqrt(curve.p * rep.size_a) if rep.size_a else None
+        thm_rhs = math.sqrt(table.p * rep.size_a) if rep.size_a else None
         return ExperimentRecord(
-            **base,
-            sizeA=rep.size_a, sizeB=rep.size_a, sizeS=rep.size_s, sizeT=rep.size_t,
-            thm_lhs=float(max(rep.size_s, rep.size_t)), thm_rhs=thm_rhs,
-            ratio=rep.ratio, H=rep.h_window,
-            predicted_sizeA=rep.predicted_size_a,
-            sizeA_over_predicted=(rep.size_a / rep.predicted_size_a
-                                  if rep.predicted_size_a > 0 else None),
+            **base, **extremal_columns(rep),
+            sizeB=rep.size_a, thm_lhs=float(max(rep.size_s, rep.size_t)), thm_rhs=thm_rhs,
             error="" if rep.size_a else "EmptyConstruction",
         )
 
@@ -257,31 +266,25 @@ def run_sweep(config: SweepConfig) -> list[ExperimentRecord]:
     exp_id = 0
     for p in config.primes():
         for c_idx in range(config.curves_per_p):
-            curve = summary = table = None
             prep_error = ""
             try:
-                rng = SplitMix64(derive_seed(config.master_seed, p, c_idx))
-                curve, summary = random_curve(p, rng, require_ordinary=True,
-                                              cap=config.enumeration_cap)
-                _, points = enumerate_points(curve, cap=config.enumeration_cap)
-                point, order = max_order_point(curve, points, summary.n_points, rng)
+                curve, summary, point, order = discover_instance(
+                    p, derive_seed(config.master_seed, p, c_idx), cap=config.enumeration_cap)
                 table = build_orbit(curve, point, order)
+                columns = instance_columns(curve, summary, point, order)
             except EcsumprodError as exc:
                 prep_error = type(exc).__name__
+                columns = {"p": p}
             for _ in range(config.sets_per_curve):
-                seed = derive_seed(config.master_seed, exp_id)
+                base = dict(experiment_id=exp_id, seed=derive_seed(config.master_seed, exp_id),
+                            nu=config.nu, **columns)
                 if prep_error:
-                    rec = ExperimentRecord(experiment_id=exp_id, p=p, seed=seed,
-                                           nu=config.nu, error=prep_error)
+                    rec = ExperimentRecord(**base, error=prep_error)
                 else:
                     try:
-                        rec = _run_experiment(config, exp_id, seed, curve, summary, table)
+                        rec = _run_experiment(config, base, summary, table)
                     except EcsumprodError as exc:
-                        rec = ExperimentRecord(
-                            experiment_id=exp_id, p=p, seed=seed, nu=config.nu,
-                            **_instance_columns(curve, summary, table),
-                            error=type(exc).__name__,
-                        )
+                        rec = ExperimentRecord(**base, error=type(exc).__name__)
                 records.append(rec)
                 exp_id += 1
     return records

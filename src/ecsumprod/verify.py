@@ -21,8 +21,8 @@ from .rng import SplitMix64
 from .sampling import sample_unit_subset
 from .sumprod import count_solutions, product_index_set, sum_set
 
-# Above this p, orthogonality and subgroup scans sample lambdas/arguments
-# instead of walking all of F_p x F_p.
+# Above this p, the orthogonality check samples its table indices and the
+# subgroup bound its lambdas, instead of walking all of F_p x F_p.
 EXHAUSTIVE_CAP = 101
 
 
@@ -68,17 +68,18 @@ def run_identity_suite(table: OrbitTable, n_points: int, seed: int) -> list[Chec
             bad += 1
     results.append(_check("orbit_spot_values", bad == 0, f"{bad} mismatches of 10"))
 
-    # Character orthogonality: (1/p) sum_lambda psi_lambda(z) = [z = 0].
+    # Character orthogonality: (1/p) sum_lambda psi_lambda(z) = [z = 0]. For
+    # z != 0, lambda -> lambda z permutes F_p, so every such sum is the sum
+    # of the table; z = 0 reads its first entry. The table's entries are
+    # read through psi_{j+k} = psi_j psi_k on pairs of sampled indices.
     roots = roots_of_unity(p)
-    lams = np.arange(p, dtype=np.int64)
     if p <= EXHAUSTIVE_CAP:
-        zs = range(p)
+        idx = np.arange(p, dtype=np.int64)
     else:
-        zs = sorted({0} | {rng.below(p) for _ in range(64)})
-    worst = 0.0
-    for z in zs:
-        total = roots[lams * z % p].sum() / p
-        worst = max(worst, abs(total - (1.0 if z == 0 else 0.0)))
+        idx = np.array([rng.below(p) for _ in range(64)], dtype=np.int64)
+    product = np.abs(roots[np.add.outer(idx, idx) % p]
+                     - np.multiply.outer(roots[idx], roots[idx])).max()
+    worst = max(abs(roots.sum()) / p, abs(roots[0] - 1.0), float(product))
     results.append(_check("orthogonality", worst < 1e-9, f"max residual {worst:.3g}"))
 
     # Unit-orbit sieve identity, trivial character included.

@@ -47,6 +47,21 @@ def test_curve_find_deterministic(capsys):
     assert a == b
 
 
+def test_curve_find_golden(capsys):
+    # pins which curve and which base point a seed picks
+    code, out, err = run(capsys, ["curve", "find", "--p", "1009", "--count", "5", "--seed", "1"])
+    assert code == 0
+    rows = [dict(zip(out.split("\n")[0].split(","), line.split(",")))
+            for line in out.strip().split("\n")[1:]]
+    assert [tuple(int(r[k]) for k in ("a4", "a6", "Px", "Py", "T")) for r in rows] == [
+        (346, 387, 384, 578, 1011),
+        (236, 163, 967, 100, 494),
+        (238, 748, 899, 623, 528),
+        (40, 453, 869, 726, 1030),
+        (107, 99, 163, 87, 980),
+    ]
+
+
 def test_orbit_build_round_trip(tmp_path, capsys):
     cache = str(tmp_path / "orbit.bin")
     code, out, err = run(capsys, ["orbit", "build", *KNOWN, "--out", cache])

@@ -106,6 +106,20 @@ def test_sweep_deterministic():
     assert [r.experiment_id for r in first] == list(range(8))
 
 
+def test_sweep_instance_golden():
+    # pins which curve and which base point each (master_seed, p, curve) picks
+    cfg = parse_config({"mode": "identities", "p_list": [101, 211, 307],
+                        "curves_per_p": 2, "master_seed": 5})
+    assert [(r.p, r.a4, r.a6, r.Px, r.Py, r.T) for r in run_sweep(cfg)] == [
+        (101, 84, 97, 23, 37, 54),
+        (101, 82, 34, 75, 83, 112),
+        (211, 159, 183, 192, 3, 227),
+        (211, 206, 178, 153, 98, 112),
+        (307, 191, 70, 249, 201, 306),
+        (307, 57, 31, 125, 184, 305),
+    ]
+
+
 def test_sweep_rows_populated():
     rows = run_sweep(config())
     assert len(rows) == 2

@@ -1,7 +1,12 @@
 import dataclasses
 
+import numpy as np
+import pytest
+
+import ecsumprod.verify as verify
 from ecsumprod import build_orbit, run_identity_suite
 from ecsumprod.curve import CurveParams, curve_summary
+from ecsumprod.rng import SplitMix64
 from ecsumprod.sampling import discover_instance
 
 EXPECTED_NAMES = [
@@ -60,3 +65,25 @@ def test_orbit_symmetry_check_sees_a_broken_table(known_table, known_summary):
     by_name = {r.name: r for r in run_identity_suite(broken, known_summary.n_points, seed=7)}
     assert not by_name["orbit_symmetry"].ok
     assert by_name["group_order"].ok
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_orthogonality_check_sees_a_perturbed_root(monkeypatch, p):
+    # one entry rotated by 1e-8 rad moves the table's sum by only 1e-8 / p,
+    # below the tolerance; psi_{j+k} = psi_j psi_k must give it away
+    curve, summary, point, order = discover_instance(p, seed=5)
+    table = build_orbit(curve, point, order)
+    if p <= verify.EXHAUSTIVE_CAP:
+        bad = p // 3
+    else:  # the first sampled index, drawn after the 10 orbit spot checks
+        rng = SplitMix64(5)
+        for _ in range(10):
+            rng.below(10 * order)
+        bad = rng.below(p)
+    good = verify.roots_of_unity(p)
+    broken = good.copy()
+    broken[bad] *= np.exp(1e-8j)
+    monkeypatch.setattr(verify, "roots_of_unity", lambda q: broken)
+    by_name = {r.name: r for r in run_identity_suite(table, summary.n_points, seed=5)}
+    assert not by_name["orthogonality"].ok
+    assert by_name["mobius_identity"].ok
