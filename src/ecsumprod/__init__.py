@@ -4,6 +4,7 @@ additive character sums, and deterministic sweep tooling around them."""
 
 from .curve import (
     INFINITY,
+    AffinePoints,
     CurveParams,
     CurveSummary,
     curve_summary,

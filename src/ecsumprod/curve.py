@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, InvariantViolation, NotOnCurve, OrderNotDividing
-from .field import fp_inv, validate_prime_modulus
+from .field import fp_inv, fp_sqrt, validate_prime_modulus
 from .residue import factorize
 
 # Affine points are (x, y); the group identity is INFINITY (= None).
@@ -131,20 +131,28 @@ def scalar_mul(curve: CurveParams, k: int, point, check: bool = False):
 
 
 def _half_squares(p: int):
-    """Blocks (y, y*y mod p) over y = 0 .. (p-1)/2; those squares are distinct."""
+    """Blocks (y, y*y mod p) over y = 0 .. (p-1)/2; those squares are distinct.
+
+    Both arrays are reused from block to block: use a block before the next.
+    """
     h = (p - 1) // 2
+    y = np.arange(min(BLOCK, h + 1), dtype=np.int64)
+    squares = np.empty_like(y)
     for lo in range(0, h + 1, BLOCK):
-        y = np.arange(lo, min(lo + BLOCK, h + 1), dtype=np.int64)
-        yield y, y * y % p
+        n = min(BLOCK, h + 1 - lo)
+        np.multiply(y[:n], y[:n], out=squares[:n])
+        squares %= p
+        yield y[:n], squares[:n]
+        y += BLOCK
 
 
-def rhs_values(curve: CurveParams, x: np.ndarray) -> np.ndarray:
+def rhs_values(curve: CurveParams, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x^3 + a4*x + a6 mod p for an int64 array of canonical x.
 
     Every product stays below p^2 < 2^62, so int64 never wraps. Updates
-    run in place on one temporary, the size of x.
+    run in place on one temporary the size of x, or on out when given.
     """
-    f = x * x
+    f = np.multiply(x, x, out=out)
     f += curve.a4
     f %= curve.p
     f *= x
@@ -154,9 +162,16 @@ def rhs_values(curve: CurveParams, x: np.ndarray) -> np.ndarray:
 
 
 def _rhs_blocks(curve: CurveParams):
-    """Blocks (x0, rhs_values at x = x0, x0+1, ...) covering all of F_p."""
+    """Blocks (x0, rhs_values at x = x0, x0+1, ...) covering all of F_p.
+
+    The arrays are reused from block to block: use a block before the next.
+    """
+    x = np.arange(min(BLOCK, curve.p), dtype=np.int64)
+    f = np.empty_like(x)
     for x0 in range(0, curve.p, BLOCK):
-        yield x0, rhs_values(curve, np.arange(x0, min(x0 + BLOCK, curve.p), dtype=np.int64))
+        n = min(BLOCK, curve.p - x0)
+        yield x0, rhs_values(curve, x[:n], out=f[:n])
+        x += BLOCK
 
 
 def _root_counts(p: int) -> np.ndarray:
@@ -165,6 +180,15 @@ def _root_counts(p: int) -> np.ndarray:
     for _, squares in _half_squares(p):
         counts[squares] = 2
     counts[0] = 1
+    return counts
+
+
+def _affine_counts(curve: CurveParams) -> np.ndarray:
+    """Affine points over every x in F_p (0, 1 or 2), as uint8: p bytes."""
+    roots = _root_counts(curve.p)
+    counts = np.empty(curve.p, dtype=np.uint8)
+    for x0, rhs in _rhs_blocks(curve):
+        np.take(roots, rhs, out=counts[x0:x0 + len(rhs)])
     return counts
 
 
@@ -199,13 +223,50 @@ def enumerate_points(curve: CurveParams, cap: int = ENUMERATION_CAP):
     return len(points), points
 
 
+class AffinePoints:
+    """The affine points of a curve in the (x, y) order of enumerate_points,
+    indexed without building the list.
+
+    Holds the uint8 point count of every x (p bytes) and the running totals
+    of its blocks of BLOCK counts. Point i lies in the first block whose
+    running total exceeds i; a cumulative sum over that block alone finds
+    its x, and the rank of i among the points over x picks the smaller
+    root of f(x) (fp_sqrt) or p minus it.
+    """
+
+    def __init__(self, curve: CurveParams, cap: int = ENUMERATION_CAP):
+        p = curve.p
+        if p > cap:
+            raise CapExceeded(f"point enumeration needs p <= {cap}, got {p}")
+        self.curve = curve
+        self._counts = _affine_counts(curve)
+        self._ends = np.cumsum([self._counts[x0:x0 + BLOCK].sum(dtype=np.int64)
+                                for x0 in range(0, p, BLOCK)])
+
+    def __len__(self) -> int:
+        return int(self._ends[-1])
+
+    def __getitem__(self, i: int):
+        if not 0 <= i < len(self):
+            raise IndexError(f"affine point {i} of {len(self)}")
+        block = int(np.searchsorted(self._ends, i, side="right"))
+        if block:
+            i -= int(self._ends[block - 1])
+        x0 = block * BLOCK
+        ends = np.cumsum(self._counts[x0:x0 + BLOCK], dtype=np.int64)
+        j = int(np.searchsorted(ends, i, side="right"))
+        rank = i - (int(ends[j - 1]) if j else 0)  # 0: smaller root, 1: larger
+        c, x = self.curve, x0 + j
+        y = fp_sqrt(x * x * x + c.a4 * x + c.a6, c.p)
+        return (x, c.p - y if rank else y)
+
+
 def curve_summary(curve: CurveParams, cap: int = ENUMERATION_CAP) -> CurveSummary:
     """Exhaustive group order and trace; the Hasse window is checked, not assumed."""
     p = curve.p
     if p > cap:
         raise CapExceeded(f"curve summary needs p <= {cap}, got {p}")
-    counts = _root_counts(p)
-    n = 1 + sum(int(counts[rhs].sum(dtype=np.int64)) for _, rhs in _rhs_blocks(curve))
+    n = 1 + int(_affine_counts(curve).sum(dtype=np.int64))
     t = p + 1 - n
     if t * t > 4 * p:
         raise InvariantViolation(f"trace {t} escapes the Hasse window for p={p}")

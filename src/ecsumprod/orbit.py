@@ -27,6 +27,33 @@ CACHE_MAGIC = b"ECSP1"
 LANES = 2048
 
 
+class _XsField:
+    """The xs field of OrbitTable: given as a tuple or an int64 array.
+
+    An array is kept read-only as xs_array and the tuple is derived from it
+    on first read; a tuple is kept as given and xs_array converts it on
+    first read. Either way the dataclass eq, hash and repr read the tuple.
+    """
+
+    def __get__(self, table, owner=None):
+        if table is None:
+            raise AttributeError("xs")  # the field has no default
+        state = table.__dict__
+        if "xs" not in state:
+            state["xs"] = tuple(table.xs_array.tolist())
+        return state["xs"]
+
+    def __set__(self, table, value):
+        # only the dataclass __init__ gets here; a frozen table refuses setattr
+        if isinstance(value, np.ndarray):
+            if value.dtype != np.int64 or value.flags.writeable:
+                value = np.array(value, dtype=np.int64)
+                value.flags.writeable = False
+            table.__dict__["xs_array"] = value
+        else:
+            table.__dict__["xs"] = tuple(value)
+
+
 @dataclass(frozen=True)
 class OrbitTable:
     """x(kP) for k = 1 .. order-1, plus the provenance needed to rebuild it."""
@@ -37,7 +64,7 @@ class OrbitTable:
     px: int
     py: int
     order: int  # exact order T of the base point
-    xs: tuple[int, ...]  # xs[k-1] = x(kP), length order-1
+    xs: tuple[int, ...] = _XsField()  # xs[k-1] = x(kP), length order-1
 
     def curve(self) -> CurveParams:
         return CurveParams(self.p, self.a4, self.a6)
@@ -47,7 +74,8 @@ class OrbitTable:
 
     @cached_property
     def xs_array(self) -> np.ndarray:
-        """xs as a read-only int64 array, converted once per table."""
+        """xs as a read-only int64 array: the one build_orbit made, or xs
+        converted once."""
         arr = np.array(self.xs, dtype=np.int64)
         arr.flags.writeable = False
         return arr
@@ -97,7 +125,7 @@ def build_orbit(curve: CurveParams, point, order: int) -> OrbitTable:
         raise OrderMismatch(f"order {order} exceeds the Hasse bound on the group order")
     half = order // 2
     walked = order - half  # floor(T/2), plus the step to (T+1)/2 when T is odd
-    xs = np.empty(walked, dtype=np.int64)
+    xs = np.empty(order - 1, dtype=np.int64)  # the walk fills xs[:walked]
     ys = np.empty(walked, dtype=np.int64)
     xs[0], ys[0] = point
     n = 1  # xs[k - 1], ys[k - 1] hold kP for k <= n
@@ -107,7 +135,7 @@ def build_orbit(curve: CurveParams, point, order: int) -> OrbitTable:
         xs[n:n + c], ys[n:n + c] = _add_point(
             curve, xs[n - s:n - s + c], ys[n - s:n - s + c], int(xs[s - 1]), int(ys[s - 1]))
         n += c
-    if np.any((ys * ys - rhs_values(curve, xs)) % p):
+    if np.any((ys * ys - rhs_values(curve, xs[:walked])) % p):
         raise NotOnCurve("the orbit walk left the curve")
     if order % 2 == 0:
         at_half = ys[half - 1] == 0
@@ -116,11 +144,11 @@ def build_orbit(curve: CurveParams, point, order: int) -> OrbitTable:
                    and (ys[half] + ys[half - 1]) % p == 0)
     if not at_half:
         raise OrderMismatch(f"{order} * {point} is not the identity")
-    head = xs[:half].tolist()  # the mirrored half shares these int objects
+    xs[half:] = xs[:order - 1 - half][::-1]  # x(kP) = x((T-k)P); the ranges are disjoint
+    xs.flags.writeable = False
     return OrbitTable(
         p=p, a4=curve.a4, a6=curve.a6,
-        px=point[0], py=point[1], order=order,
-        xs=tuple(head + head[:order - 1 - half][::-1]),
+        px=point[0], py=point[1], order=order, xs=xs,
     )
 
 
@@ -133,7 +161,7 @@ def x_of(table: OrbitTable, k: int) -> int:
     r = k % table.order
     if r == 0:
         raise IdentityHasNoX(f"k = {k} = 0 mod {table.order}")
-    return table.xs[r - 1]
+    return int(table.xs_array[r - 1])
 
 
 def save_orbit(table: OrbitTable, path) -> None:
@@ -142,7 +170,7 @@ def save_orbit(table: OrbitTable, path) -> None:
     header = struct.pack(
         "<6Q", table.p, table.a4, table.a6, table.px, table.py, table.order
     )
-    body = struct.pack(f"<{len(table.xs)}Q", *table.xs)
+    body = table.xs_array.astype("<u8").tobytes()
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC + header + body)
 
@@ -160,7 +188,8 @@ def load_orbit(path) -> OrbitTable:
     body = rest[48:]
     if len(body) != 8 * (order - 1):
         raise ValueError(f"{path}: expected {order - 1} x-values, found {len(body) // 8}")
-    xs = struct.unpack(f"<{order - 1}Q", body)
+    # a u64 value of 2^63 or more reads as negative and fails the range check
+    xs = np.frombuffer(body, dtype="<i8")
     table = OrbitTable(p=p, a4=a4, a6=a6, px=px, py=py, order=order, xs=xs)
     validate_orbit(table)
     return table
@@ -175,12 +204,15 @@ def validate_orbit(table: OrbitTable) -> None:
     """
     curve = table.curve()
     point = require_on_curve(curve, table.base_point())
-    if table.order < 2 or len(table.xs) != table.order - 1:
+    try:
+        xs = table.xs_array
+    except OverflowError:  # a value beyond int64 is beyond F_p
+        raise ValueError("x-value out of field range") from None
+    if table.order < 2 or len(xs) != table.order - 1:
         raise OrderMismatch("table length disagrees with the recorded order")
-    xs = np.array(table.xs)  # int64, or uint64/object if a value overflows int64
     if xs.min() < 0 or xs.max() >= table.p:
         raise ValueError("x-value out of field range")
-    if table.xs[0] != table.px:
+    if xs[0] != table.px:
         raise ValueError("first table entry must be x(P)")
     asymmetric = np.flatnonzero(xs != xs[::-1])
     if len(asymmetric):

@@ -6,10 +6,10 @@ pair reproduces bit-for-bit.
 
 from .curve import (
     ENUMERATION_CAP,
+    AffinePoints,
     CurveParams,
     CurveSummary,
     curve_summary,
-    enumerate_points,
     point_order,
 )
 from .errors import TooLarge
@@ -69,20 +69,22 @@ def max_order_point(curve: CurveParams, n_points: int, rng: SplitMix64,
                     samples: int = 30, cap: int = ENUMERATION_CAP):
     """Affine point of maximal order among seeded random samples.
 
-    Enumerates the points (refusing past cap), then draws with replacement
-    from the affine ones and keeps the first point attaining the largest
-    order seen. Returns (point, order); the point list is freed on return.
-    All draws are taken before any order is computed, so the rng advances
-    the same whatever the orders; orders are then computed in draw order up
-    to the first point of order n_points, which no later sample can beat.
+    Draws with replacement from the affine points in (x, y) order, the
+    order of enumerate_points, and keeps the first point attaining the
+    largest order seen. Returns (point, order). The points are indexed
+    through AffinePoints (p bytes, refused past cap), never listed. All
+    draws are taken before any order is computed, so the rng advances the
+    same whatever the orders; points and orders are then computed in draw
+    order up to the first point of order n_points, which no later sample
+    can beat.
     """
-    _, points = enumerate_points(curve, cap=cap)
-    affine = points[1:]  # points[0] is the identity
-    if not affine:
+    affine = AffinePoints(curve, cap=cap)
+    if not len(affine):
         raise ValueError("curve has no affine points to sample")
-    draws = [affine[rng.below(len(affine))] for _ in range(min(samples, len(affine)) or 1)]
+    draws = [rng.below(len(affine)) for _ in range(min(samples, len(affine)) or 1)]
     best, best_order = None, 0
-    for candidate in draws:
+    for i in draws:
+        candidate = affine[i]
         order = point_order(curve, candidate, n_points)
         if order > best_order:
             best, best_order = candidate, order

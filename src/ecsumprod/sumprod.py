@@ -127,12 +127,15 @@ def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
 
         J = sum over v in supp(c2) of c2[v] * sum over u in S of c1[(u - v) mod p].
 
-    c1 is tallied on Z_T in row blocks and carried to F_p through x once;
-    the double sum reads c1 doubled, c1ext[u + p - v] = c1[(u - v) mod p],
-    so it needs no reduction. The work is O(#B * #H + #B * #S + T) and the
-    memory O(p + BLOCK), as T < 2p. The arguments may be any iterables or
-    int64 arrays. The character route in charsum shares none of this; a
-    pure-Python triple loop in the tests pins it on small instances.
+    c1 is tallied on Z_T and carried to F_p through x once. Its indices
+    are made in row blocks of L2 size, or of at least T indices once T
+    exceeds BLOCK, so at most #B * #H / T + 1 bincount passes cost O(T)
+    each. The double sum reads c1 doubled, c1ext[u + p - v] =
+    c1[(u - v) mod p], so it needs no reduction. The work is
+    O(#B * #H + #B * #S + T) and the memory O(p + BLOCK), as T < 2p.
+    The arguments may be any iterables or int64 arrays. The character
+    route in charsum shares none of this; a pure-Python triple loop in the
+    tests pins it on small instances.
     """
     t, p = table.order, table.p
     bs = _unit_array(b_set, t)
@@ -144,10 +147,17 @@ def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
         raise ValueError("sum values must be canonical residues mod p")
     xs = table.xs_array
     inv_b = np.array([inv_mod(b, t) for b in bs.tolist()], dtype=np.int64)
+    # rows per block: L2-sized, but at least T indices per length-T bincount
+    step = max(1, BLOCK // len(hs), -(-t // len(hs)))
     c1_t = np.zeros(t, dtype=np.int64)  # histogram of h*b1^-1 on Z_T
-    for rows in _row_blocks(len(inv_b), len(hs)):
-        k = np.multiply.outer(inv_b[rows], hs)
-        c1_t += np.bincount(np.remainder(k, t, out=k).ravel(), minlength=t)
+    for lo in range(0, len(inv_b), step):
+        k = np.multiply.outer(inv_b[lo:lo + step], hs)
+        # k mod t as k - (k // t) * t: numpy divides by a scalar through a
+        # precomputed reciprocal, and np.remainder does not
+        q = np.floor_divide(k, t)
+        q *= t
+        k -= q
+        c1_t += np.bincount(k.ravel(), minlength=t)
     c1 = np.zeros(p, dtype=np.int64)
     np.add.at(c1, xs, c1_t[1:])
     c1ext = np.concatenate((c1, c1))

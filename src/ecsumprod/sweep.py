@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+import traceback
 from dataclasses import asdict, dataclass, fields
 
 from .charsum import SCAN_CAP, bilinear_ratio_scan
@@ -255,12 +256,22 @@ def _run_experiment(config: SweepConfig, base: dict, summary, table) -> Experime
     )
 
 
+def _error_column(exc: Exception) -> str:
+    if not isinstance(exc, EcsumprodError):
+        traceback.print_exception(exc, file=sys.stderr)
+    return type(exc).__name__
+
+
 def run_sweep(config: SweepConfig) -> list[ExperimentRecord]:
     """Run every (p, curve, set-sample) cell; never aborts on a cell error.
 
     Records come back sorted by experiment_id (ids are assigned in p-list
-    x curve x set order). A cell that raises a package error contributes
-    a record whose error column names the exception class.
+    x curve x set order). A curve whose instance prep raises, or a cell
+    that raises, contributes records whose error column names the
+    exception class, whatever the class (MemoryError included); only
+    KeyboardInterrupt and SystemExit, which are not Exceptions, stop the
+    sweep. An exception from outside the package is unexpected, so its
+    traceback also goes to stderr.
     """
     records = []
     exp_id = 0
@@ -272,8 +283,8 @@ def run_sweep(config: SweepConfig) -> list[ExperimentRecord]:
                     p, derive_seed(config.master_seed, p, c_idx), cap=config.enumeration_cap)
                 table = build_orbit(curve, point, order)
                 columns = instance_columns(curve, summary, point, order)
-            except EcsumprodError as exc:
-                prep_error = type(exc).__name__
+            except Exception as exc:
+                prep_error = _error_column(exc)
                 columns = {"p": p}
             for _ in range(config.sets_per_curve):
                 base = dict(experiment_id=exp_id, seed=derive_seed(config.master_seed, exp_id),
@@ -283,8 +294,8 @@ def run_sweep(config: SweepConfig) -> list[ExperimentRecord]:
                 else:
                     try:
                         rec = _run_experiment(config, base, summary, table)
-                    except EcsumprodError as exc:
-                        rec = ExperimentRecord(**base, error=type(exc).__name__)
+                    except Exception as exc:
+                        rec = ExperimentRecord(**base, error=_error_column(exc))
                 records.append(rec)
                 exp_id += 1
     return records

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ecsumprod.curve as curve_module
 from conftest import SMALL_PRIMES
 from ecsumprod import (
+    AffinePoints,
     CapExceeded,
     CurveParams,
     INFINITY,
@@ -19,7 +22,7 @@ from ecsumprod import (
     scalar_mul,
 )
 from ecsumprod.rng import SplitMix64
-from ecsumprod.sampling import max_order_point, random_curve
+from ecsumprod.sampling import discover_instance, max_order_point, random_curve
 from oracles import oracle_add, oracle_points, oracle_scalar
 
 
@@ -179,3 +182,62 @@ def test_max_order_point_matches_full_scan():
             best = orders.index(max(orders))
             assert max_order_point(curve, n, rng) == (draws[best], orders[best])
             assert rng.next_u64() == ref.next_u64()
+
+
+# BLOCK = 2 and 3 split F_p into many blocks, so points fall on both sides
+# of every block boundary, and pairs (x, y), (x, p - y) straddle none.
+@pytest.mark.parametrize("block", [2, 3, curve_module.BLOCK])
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_affine_points_match_enumeration(monkeypatch, p, block):
+    # a6 = 0 curves have the point (0, 0), so y = 0 rows occur; p = 1 (mod 4)
+    # takes fp_sqrt's Tonelli-Shanks branch
+    monkeypatch.setattr(curve_module, "BLOCK", block)
+    tried = 0
+    for a4, a6 in {(1, 0), (p - 1, 0), (0, 1), (1, 1), (2, 3), (3, p - 2), (p - 3, 5)}:
+        try:
+            curve = CurveParams(p, a4, a6)
+        except ValueError:  # singular for this p
+            continue
+        tried += 1
+        n, pts = enumerate_points(curve)
+        affine = AffinePoints(curve)
+        assert len(affine) == n - 1
+        assert [affine[i] for i in range(n - 1)] == pts[1:]
+        for i in (-1, n - 1):
+            with pytest.raises(IndexError):
+                affine[i]
+    assert tried >= 5
+
+
+def test_affine_points_cap():
+    with pytest.raises(CapExceeded, match="point enumeration needs p <= 50, got 101"):
+        AffinePoints(CurveParams(101, 1, 1), cap=50)
+    with pytest.raises(CapExceeded):
+        max_order_point(CurveParams(101, 1, 1), 105, SplitMix64(0), cap=50)
+
+
+def test_max_order_point_lists_no_points(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_points was called")
+
+    monkeypatch.setattr(curve_module, "enumerate_points", refuse)
+    curve, summary, point, order = discover_instance(1009, 1)
+    # the pick of `ecsumprod curve find --p 1009 --seed 1`, first row
+    assert (curve.a4, curve.a6, point, order) == (346, 387, (384, 578), 1011)
+
+
+def test_max_order_point_memory_at_p_1000003():
+    # The point list took 121 p bytes here. The index holds p bytes of
+    # counts and builds them from p bytes of root counts and two reused
+    # int64 blocks; locating a point takes one more block.
+    p = 1_000_003
+    rng = SplitMix64(3)
+    curve, summary = random_curve(p, rng)
+    tracemalloc.start()
+    try:
+        point, order = max_order_point(curve, summary.n_points, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * p + 3 * 8 * curve_module.BLOCK
+    assert is_on_curve(curve, point) and summary.n_points % order == 0

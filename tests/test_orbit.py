@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import struct
 
 import numpy as np
@@ -197,3 +199,50 @@ def test_xs_array_is_a_cached_read_only_view(known_curve, known_table):
     fresh = build_orbit(known_curve, (0, 1), 9)
     assert fresh == known_table and hash(fresh) == hash(known_table)
     assert repr(fresh) == repr(known_table) and "xs_array" not in repr(known_table)
+
+
+# sha256 of save_orbit's file for discover_instance(p, seed), recorded when
+# save_orbit still packed the tuple with struct.
+_CACHE_SHA256 = {
+    (5, 1): "253e78f2d512225ff55079b05866f0e0c3c0976a9f2e7c79c32861bad5d8e663",
+    (101, 2): "cadf1e6f0e6e84e0544aaee41753a80e51850e3fb2c072a5fba7db57b840e5ca",
+    (1009, 3): "366516a15d5880733a1ac5f6d9efeb726f92ab99191a9d418374a2041cce50e2",
+    (10007, 4): "c4eab98a2af2bab4da231bc5b715104ab353e3f2e99f53264733086c21266674",
+    (65537, 5): "71bf8ca7e807f44a945f2179d170d7481e71b99be2a27bfa87e58e901ccfc2cf",
+}
+
+
+@pytest.mark.parametrize("p, seed", sorted(_CACHE_SHA256))
+def test_array_native_table(tmp_path, p, seed):
+    curve, _, point, order = discover_instance(p, seed)
+    table = build_orbit(curve, point, order)
+    path = tmp_path / "orbit.bin"
+    save_orbit(table, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _CACHE_SHA256[p, seed]
+
+    arr = table.xs_array
+    assert arr.dtype == np.int64 and not arr.flags.writeable
+    assert table.xs_array is arr and "xs" not in vars(table)  # no tuple until asked
+    assert type(x_of(table, 1)) is int and x_of(table, -1) == point[0]
+
+    fields = dict(p=table.p, a4=table.a4, a6=table.a6, px=table.px, py=table.py, order=order)
+    from_tuple = OrbitTable(xs=tuple(arr.tolist()), **fields)
+    assert table.xs == from_tuple.xs == tuple(arr.tolist())
+    assert table == from_tuple and hash(table) == hash(from_tuple)
+    assert repr(table) == repr(from_tuple)
+    assert from_tuple.xs_array.tolist() == arr.tolist()
+    assert OrbitTable(xs=arr, **fields).xs_array is arr  # read-only int64: kept, not copied
+    assert dataclasses.replace(table, xs=from_tuple.xs) == table
+    assert load_orbit(path) == table
+
+
+def test_table_array_is_private(known_table):
+    # a writable or non-int64 array is copied, so the table cannot change under its reader
+    for dtype in (np.int64, np.int32):
+        source = np.array(known_table.xs, dtype=dtype)
+        table = dataclasses.replace(known_table, xs=source)
+        source[0] = 3
+        assert table == known_table and table.xs_array.dtype == np.int64
+        assert not table.xs_array.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.xs = ()

@@ -200,6 +200,46 @@ def test_count_solutions_memory_at_p_50021():
     assert j == round(solutions_via_characters(table, a, b))
 
 
+def test_count_solutions_tally_passes_stay_few(monkeypatch):
+    # T > BLOCK: each length-T bincount pass must take at least T indices,
+    # so the passes number at most #B #H / T + 1, not #B #H / BLOCK.
+    table = _table(1009, 2)
+    t = table.order
+    a = sample_unit_subset(t, 60, 1)
+    b = sample_unit_subset(t, 60, 2)
+    s = sum_set(table, a, b)
+    h = product_index_set(a, b, t)
+    expected = count_solutions(table, b, h, s)
+    assert expected == naive_count(table, b, h, s)
+    real_bincount = np.bincount
+    passes = []
+
+    def counting_bincount(x, *args, **kwargs):
+        if kwargs.get("minlength") == t:
+            passes.append(len(x))
+        return real_bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting_bincount)
+    for block in (32, 300, 4096):
+        monkeypatch.setattr(sumprod_module, "BLOCK", block)
+        passes.clear()
+        assert count_solutions(table, b, h, s) == expected
+        assert sum(passes) == len(b) * len(h)
+        assert len(passes) <= len(b) * len(h) // t + 1
+
+
+def test_count_solutions_exact_at_p_1000003():
+    # index products h * b^-1 reach T^2 ~ 10^12, past 32 bits; the
+    # reduction mod T must stay exact
+    table = _table(1_000_003, 1)
+    a = sample_unit_subset(table.order, 12, 1)
+    b = sample_unit_subset(table.order, 12, 2)
+    s = sum_set(table, a, b)
+    h = product_index_set(a, b, table.order)
+    assert max(h) * max(b) > 2**32
+    assert count_solutions(table, b, h, s) == naive_count(table, b, h, s)
+
+
 def test_invariant_violation_fails_the_cell(monkeypatch, capsys):
     monkeypatch.setattr(sumprod_module, "count_solutions", lambda *args: 0)
     with pytest.raises(InvariantViolation):

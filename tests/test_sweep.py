@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import ecsumprod.sampling as sampling_module
+import ecsumprod.sweep as sweep_module
 from ecsumprod import (
     RECORD_FIELDS,
     ExperimentRecord,
@@ -143,6 +145,54 @@ def test_sweep_crash_isolation():
     assert rows[0].a4 is None
     assert rows[1].p == 5 and rows[1].error == ""
     assert [r.experiment_id for r in rows] == [0, 1]
+
+
+def test_sweep_prep_failure_of_any_class(monkeypatch, capsys):
+    def broken_random_curve(p, rng, **kwargs):
+        raise RuntimeError("no curve today")
+
+    # a package error such as CapExceeded is an expected outcome: no traceback
+    assert run_sweep(config(p_list=[101], enumeration_cap=50))[0].error == "CapExceeded"
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(sampling_module, "random_curve", broken_random_curve)
+    rows = run_sweep(config(sets_per_curve=2))
+    assert [(r.p, r.error) for r in rows] == [(5, "RuntimeError")] * 2 + [(7, "RuntimeError")] * 2
+    assert all(r.a4 is None and r.J is None for r in rows)
+    # an exception from outside the package leaves its traceback on stderr
+    assert capsys.readouterr().err.count("RuntimeError: no curve today") == 2
+
+
+def test_sweep_cell_memory_error_fails_that_cell_alone(monkeypatch):
+    cfg = config(curves_per_p=2, sets_per_curve=2)
+    clean = run_sweep(cfg)
+    real_report = sweep_module.sum_product_report
+    calls = []
+
+    def report_out_of_memory_once(table, a_set, b_set):
+        calls.append(table.p)
+        if len(calls) == 2:
+            raise MemoryError
+        return real_report(table, a_set, b_set)
+
+    monkeypatch.setattr(sweep_module, "sum_product_report", report_out_of_memory_once)
+    rows = run_sweep(cfg)
+    assert len(calls) == len(rows) == 8
+    assert rows[1].error == "MemoryError" and rows[1].J is None
+    assert rows[1].a4 == clean[1].a4 and rows[1].T == clean[1].T  # instance columns stay
+    assert rows[:1] + rows[2:] == clean[:1] + clean[2:]
+
+
+@pytest.mark.parametrize("stop", [KeyboardInterrupt, SystemExit])
+def test_sweep_interrupts_propagate(monkeypatch, stop):
+    def interrupted(*args, **kwargs):
+        raise stop
+
+    monkeypatch.setattr(sweep_module, "sum_product_report", interrupted)
+    with pytest.raises(stop):
+        run_sweep(config())
+    monkeypatch.setattr(sampling_module, "random_curve", interrupted)
+    with pytest.raises(stop):
+        run_sweep(config())
 
 
 def test_sweep_identities_mode():
