@@ -27,6 +27,7 @@ from .charsum import (
     solutions_via_characters,
     subgroup_scan,
     subgroup_sum,
+    subgroup_sums,
 )
 from .errors import (
     CapExceeded,
@@ -43,7 +44,13 @@ from .errors import (
     TrivialCharacter,
     ZeroInverse,
 )
-from .extremal import ExtremalReport, extremal_report, mobius_identity_residual, units_with_x_below
+from .extremal import (
+    ExtremalReport,
+    extremal_report,
+    mobius_identity_residual,
+    mobius_identity_residuals,
+    units_with_x_below,
+)
 from .field import fp_inv, fp_pow, fp_sqrt, is_prime, legendre, validate_prime_modulus
 from .orbit import OrbitTable, build_orbit, load_orbit, save_orbit, x_of
 from .residue import divisors, euler_phi, factorize, inv_mod, mobius, units_of

@@ -38,6 +38,22 @@ def roots_of_unity(p: int) -> np.ndarray:
     return table
 
 
+def _roots_at(roots: np.ndarray, values: np.ndarray, lam: int,
+              idx: np.ndarray, quot: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """roots[lam * values mod p] into out, through the int64 buffers idx and
+    quot, all of len(values); values and lam lie in [0, p).
+
+    The remainder is taken as k - (k // p) * p: numpy divides by a scalar
+    through a precomputed reciprocal, and np.remainder does not.
+    """
+    p = len(roots)
+    np.multiply(values, lam, out=idx)
+    np.floor_divide(idx, p, out=quot)
+    quot *= p
+    idx -= quot
+    return np.take(roots, idx, out=out)
+
+
 def psi(lam: int, z: int, p: int) -> complex:
     """psi_lambda(z) = exp(2*pi*i*lambda*z/p)."""
     return complex(roots_of_unity(p)[lam * z % p])
@@ -147,18 +163,36 @@ def bilinear_ratio_scan(table: OrbitTable, k_set, m_set, nu: int,
     return CharSumReport(nu=nu, lam=i + 1, value=best_val, rhs=rhs, ratio=best_val / rhs)
 
 
-def subgroup_sum(table: OrbitTable, lam: int) -> complex:
-    """sum over k = 1 .. T-1 of psi_lambda(x(kP)) for a nontrivial character.
+def subgroup_sums(table: OrbitTable, lams) -> np.ndarray:
+    """sum over k = 1 .. T-1 of psi_lambda(x(kP)) at each nontrivial lambda.
 
-    The value is genuinely complex in general: x(kP) = x((T-k)P) makes the
-    paired terms equal, not conjugate, so no cancellation of imaginary
-    parts is implied. |sum| <= T - 1 always holds.
+    x(kP) = x((T-k)P) pairs the terms, so each sum is twice the sum over
+    the half orbit k < T/2, plus the middle term x((T/2)P) when T is even.
+    The paired terms are equal, not conjugate: the value is genuinely
+    complex in general, and |sum| <= T - 1 always holds. The lambdas are
+    visited one at a time through buffers of T/2 entries, never as a
+    (#lambda, T/2) matrix.
     """
-    p = table.p
-    if lam % p == 0:
+    p, t = table.p, table.order
+    lams = [lam % p for lam in lams]
+    if 0 in lams:
         raise TrivialCharacter("subgroup sum over the trivial character is just T - 1")
+    roots = roots_of_unity(p)
     xs = table.xs_array
-    return complex(roots_of_unity(p)[lam % p * xs % p].sum())
+    half = xs[:(t - 1) // 2]
+    idx, quot = np.empty_like(half), np.empty_like(half)
+    terms = np.empty(len(half), dtype=complex)
+    sums = np.empty(len(lams), dtype=complex)
+    for i, lam in enumerate(lams):
+        sums[i] = 2 * _roots_at(roots, half, lam, idx, quot, terms).sum()
+        if t % 2 == 0:
+            sums[i] += roots[lam * int(xs[t // 2 - 1]) % p]
+    return sums
+
+
+def subgroup_sum(table: OrbitTable, lam: int) -> complex:
+    """subgroup_sums at one lambda."""
+    return complex(subgroup_sums(table, [lam])[0])
 
 
 @dataclass(frozen=True)
@@ -209,14 +243,22 @@ def solutions_spectrum(table: OrbitTable, a_set, b_set) -> complex:
     pop = np.zeros(t, dtype=np.int64)
     for b in b_set:
         pop[hs * inv_mod(b, t) % t] += 1
-    hists = np.zeros((3, p))
-    hists[0] = np.bincount(xs, weights=pop[1:], minlength=p)
-    hists[1] = np.bincount(xs[np.array(b_set, dtype=np.int64) - 1], minlength=p)
-    hists[2, list(sum_set(table, a_set, b_set))] = 1.0
-    # One call for all three: pocketfft plans a prime length afresh on every
+    # Two complex rows carry the three real histograms: h1 + i*h2 and h3.
+    rows = np.zeros((2, p), dtype=complex)
+    rows[0].real = np.bincount(xs, weights=pop[1:], minlength=p)
+    rows[0].imag = np.bincount(xs[np.array(b_set, dtype=np.int64) - 1], minlength=p)
+    rows[1, list(sum_set(table, a_set, b_set))] = 1.0
+    # One call for both: pocketfft plans a prime length afresh on every
     # call, and the plan costs more than a transform.
-    s1, s2, s3 = np.conj(np.fft.fft(hists, axis=1))
-    return complex((s1 * s2 * np.conj(s3)).sum() / p)
+    z, f3 = np.fft.fft(rows, axis=1)
+    # With F_j = fft(h_j) and W[k] = conj(Z[-k]), real h1 and h2 give
+    # F1 = (Z + W)/2 and F2 = (Z - W)/(2i), so F1*F2 = (Z^2 - W^2)/(4i).
+    # S1 S2 conj(S3) = conj(F1 F2) F3, and summed over all of Z_p:
+    #     sum conj(Z^2) F3 - sum_k Z^2[-k] F3[k] = -4i * p * value.
+    # einsum reads the reversed view in place; np.dot would copy it.
+    z *= z
+    paired = z[0] * f3[0] + np.einsum("i,i", z[:0:-1], f3[1:])
+    return complex((np.vdot(z, f3) - paired) * 1j / (4 * p))
 
 
 def solutions_via_characters(table: OrbitTable, a_set, b_set) -> float:

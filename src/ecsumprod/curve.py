@@ -192,6 +192,15 @@ def _affine_counts(curve: CurveParams) -> np.ndarray:
     return counts
 
 
+# The per-x counts curve_summary tabulated last, keyed by their curve, kept
+# until an AffinePoints of that curve takes them: discover_instance counts
+# the points of a candidate curve and then indexes them, and one p-byte
+# tabulation serves both without a new parameter on either. The counts of
+# a curve are a function of the curve, so whoever takes them gets what it
+# would have built; the slot holds at most one curve's counts.
+_last_counts: dict = {}
+
+
 def _smaller_roots(p: int) -> np.ndarray:
     """Smaller square root of every residue mod p, -1 for non-residues (int32)."""
     roots = np.full(p, -1, dtype=np.int32)
@@ -231,7 +240,9 @@ class AffinePoints:
     of its blocks of BLOCK counts. Point i lies in the first block whose
     running total exceeds i; a cumulative sum over that block alone finds
     its x, and the rank of i among the points over x picks the smaller
-    root of f(x) (fp_sqrt) or p minus it.
+    root of f(x) (fp_sqrt) or p minus it. The counts that curve_summary
+    tabulated for the same curve, when it was the last one summarised, are
+    taken over rather than built again.
     """
 
     def __init__(self, curve: CurveParams, cap: int = ENUMERATION_CAP):
@@ -239,7 +250,8 @@ class AffinePoints:
         if p > cap:
             raise CapExceeded(f"point enumeration needs p <= {cap}, got {p}")
         self.curve = curve
-        self._counts = _affine_counts(curve)
+        counts = _last_counts.pop(curve, None)
+        self._counts = _affine_counts(curve) if counts is None else counts
         self._ends = np.cumsum([self._counts[x0:x0 + BLOCK].sum(dtype=np.int64)
                                 for x0 in range(0, p, BLOCK)])
 
@@ -266,7 +278,10 @@ def curve_summary(curve: CurveParams, cap: int = ENUMERATION_CAP) -> CurveSummar
     p = curve.p
     if p > cap:
         raise CapExceeded(f"curve summary needs p <= {cap}, got {p}")
-    n = 1 + int(_affine_counts(curve).sum(dtype=np.int64))
+    counts = _affine_counts(curve)
+    _last_counts.clear()
+    _last_counts[curve] = counts
+    n = 1 + int(counts.sum(dtype=np.int64))
     t = p + 1 - n
     if t * t > 4 * p:
         raise InvariantViolation(f"trace {t} escapes the Hasse window for p={p}")

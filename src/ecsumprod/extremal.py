@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charsum import roots_of_unity
+from .charsum import _roots_at, roots_of_unity
 from .orbit import OrbitTable
 from .residue import divisors, euler_phi, mobius, unit_array
 from .sumprod import prod_set, sum_set
@@ -74,29 +74,44 @@ def extremal_report(table: OrbitTable, window: int | None = None) -> ExtremalRep
     )
 
 
-def mobius_identity_residual(table: OrbitTable, lam: int) -> float:
-    """|LHS - RHS| of the unit-orbit sieve at character lambda.
+def mobius_identity_residuals(table: OrbitTable, lams) -> np.ndarray:
+    """|LHS - RHS| of the unit-orbit sieve at each character lambda.
 
     LHS sums psi_lambda(x(aP)) over the units a of Z_T. RHS sieves by
     divisors d of T with Mobius weights, summing psi over the multiples of
     d below T. Identity-point terms are omitted on both sides; their
     would-be contributions carry total weight sum_{d | T} mu(d) = 0 for
     T >= 2, so the identity is exact as computed. lambda = 0 degenerates
-    to phi(T) = sum_{d | T} mu(d) (T/d - 1).
+    to phi(T) = sum_{d | T} mu(d) (T/d - 1), and gives exactly 0.0.
+
+    Each side is tallied once into a histogram on F_p, LHS from the units
+    and RHS from the weighted multiples (on Z_T first, then carried to
+    F_p through x); every lambda is then read on the union support.
     """
     t, p = table.order, table.p
     if t < 2:
         raise ValueError("identity needs order >= 2")
     xs = table.xs_array
-    roots = roots_of_unity(p)
-    lam %= p
-    units = unit_array(t)
-    lhs = roots[lam * xs[units - 1] % p].sum()
-    rhs = 0j
+    lhs = np.bincount(xs[unit_array(t) - 1], minlength=p)
+    weight = np.zeros(t, dtype=np.int64)  # weight[k]: sum of mu(d), d | T and d | k
     for d in divisors(t):
         mu = mobius(d)
-        if mu == 0:
-            continue
-        multiples = np.arange(d, t, d, dtype=np.int64)  # b*d, b = 1 .. t/d - 1
-        rhs += mu * roots[lam * xs[multiples - 1] % p].sum()
-    return float(abs(lhs - rhs))
+        if mu:
+            weight[::d] += mu
+    rhs = np.bincount(xs, weights=weight[1:], minlength=p)
+    support = np.flatnonzero((lhs != 0) | (rhs != 0))
+    hists = np.array([lhs[support], rhs[support]], dtype=complex)
+    roots = roots_of_unity(p)
+    idx, quot = np.empty_like(support), np.empty_like(support)
+    terms = np.empty(len(support), dtype=complex)
+    lams = [lam % p for lam in lams]
+    out = np.empty(len(lams))
+    for i, lam in enumerate(lams):
+        lhs_value, rhs_value = hists @ _roots_at(roots, support, lam, idx, quot, terms)
+        out[i] = abs(lhs_value - rhs_value)
+    return out
+
+
+def mobius_identity_residual(table: OrbitTable, lam: int) -> float:
+    """mobius_identity_residuals at one lambda."""
+    return float(mobius_identity_residuals(table, [lam])[0])

@@ -80,6 +80,19 @@ class OrbitTable:
         arr.flags.writeable = False
         return arr
 
+    def __reduce__(self):
+        # pickle and copy rebuild through _rebuild_table, not __dict__: an
+        # unpickled array comes back writable
+        return _rebuild_table, (self.p, self.a4, self.a6, self.px, self.py,
+                                self.order, self.xs_array)
+
+
+def _rebuild_table(p, a4, a6, px, py, order, xs: np.ndarray) -> OrbitTable:
+    """An OrbitTable from pickled or copied fields; xs is the copy's own
+    array, so it is made read-only in place rather than copied again."""
+    xs.flags.writeable = False
+    return OrbitTable(p=p, a4=a4, a6=a6, px=px, py=py, order=order, xs=xs)
+
 
 def _add_point(curve: CurveParams, x: np.ndarray, y: np.ndarray, qx: int, qy: int):
     """(x, y) + (qx, qy) lane by lane, for affine points of the curve.

@@ -110,6 +110,23 @@ def naive_subgroup_sum(table, lam):
     return sum(cmath.exp(2j * cmath.pi * lam * x / table.p) for x in table.xs)
 
 
+def naive_mobius_residual(table, lam):
+    """|LHS - RHS| of the unit-orbit sieve with cmath, term by term: LHS over
+    the units a of Z_T (by gcd), RHS over the multiples b*d < T of every
+    divisor d of T, weighted by oracle_mobius(d)."""
+    t, p = table.order, table.p
+
+    def psi_x(k):
+        return cmath.exp(2j * cmath.pi * lam * table.xs[k - 1] / p)
+
+    lhs = sum(psi_x(a) for a in range(1, t) if math.gcd(a, t) == 1)
+    rhs = 0j
+    for d in range(1, t + 1):
+        if t % d == 0:
+            rhs += oracle_mobius(d) * sum(psi_x(k) for k in range(d, t, d))
+    return abs(lhs - rhs)
+
+
 def spectrum_tolerance(p, size_b, size_h, size_s):
     """Roundoff allowed between the character route for J and the exact J.
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from ecsumprod import (
     solutions_via_characters,
     subgroup_scan,
     subgroup_sum,
+    subgroup_sums,
     sum_set,
 )
 from ecsumprod.residue import euler_phi, units_of
@@ -265,3 +267,67 @@ def test_subgroup_scan_matches_full_lambda_oracle():
         assert 1 <= rep.lam <= (p - 1) // 2
         assert rep.max_abs == pytest.approx(max(naive), abs=1e-9)
         assert naive[rep.lam - 1] == pytest.approx(rep.max_abs, abs=1e-9)
+
+
+# discover_instance picks of odd order (101: T = 111, 1009: T = 1011) and
+# of even order (61: T = 68, 1009: T = 1000), and the T = 2 orbit whose only
+# term is the middle one.
+_PARITY_TABLES = {
+    "odd_known": _KNOWN,
+    "odd_101": _table(101, 1),
+    "odd_1009": _table(1009, 1),
+    "even_61": _table(61, 1),
+    "even_1009": _table(1009, 2),
+    "even_2": build_orbit(CurveParams(5, 1, 0), (0, 0), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARITY_TABLES))
+def test_subgroup_sums_match_oracle(name):
+    table = _PARITY_TABLES[name]
+    p = table.p
+    assert table.order % 2 == (0 if name.startswith("even") else 1)
+    lams = [lam for lam in (1, 2, p - 1, p + 3, 7 * p + 1, -1, -p - 2) if lam % p]
+    got = subgroup_sums(table, lams)
+    assert got.dtype == complex and got.shape == (len(lams),)
+    for lam, value in zip(lams, got):
+        assert abs(value - naive_subgroup_sum(table, lam)) < 1e-12 * table.order
+        assert value == subgroup_sum(table, lam)  # the one-lambda call is the same pass
+    assert abs(got).max() <= table.order - 1 + 1e-9
+    # lambda is reduced mod p exactly, even past int64
+    huge = [lam for lam in (10 ** 30 + 1, -(10 ** 30) - 1, 10 ** 30 + 2) if lam % p]
+    assert list(subgroup_sums(table, huge)) == list(subgroup_sums(table, [lam % p for lam in huge]))
+    assert subgroup_sums(table, []).shape == (0,)
+
+
+def test_subgroup_sums_reject_the_trivial_character(known_table):
+    for lams in ([0], [1, 5], [2, -10]):
+        with pytest.raises(TrivialCharacter):
+            subgroup_sums(known_table, lams)
+
+
+def test_subgroup_sums_known_value_stays_nonreal(known_table):
+    got = subgroup_sums(known_table, [1, 4])
+    assert got[0] == pytest.approx(-0.6180339887498953 - 1.9021130325903068j)
+    assert got[1] == pytest.approx(got[0].conjugate())
+    assert abs(got[0].imag) > 1.9
+
+
+def test_solutions_spectrum_makes_one_fft_of_two_rows(monkeypatch):
+    shapes = []
+    real_fft = np.fft.fft
+
+    def counting_fft(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    table = _PARITY_TABLES["even_1009"]
+    a = sample_unit_subset(table.order, 8, 1)
+    b = sample_unit_subset(table.order, 8, 2)
+    val = solutions_spectrum(table, a, b)
+    assert shapes == [(2, table.p)]
+    h = product_index_set(a, b, table.order)
+    s = sum_set(table, a, b)
+    assert round(val.real) == count_solutions(table, b, h, s)
+    assert abs(val.imag) < spectrum_tolerance(table.p, len(b), len(h), len(s))

@@ -22,6 +22,7 @@ from ecsumprod import (
     scalar_mul,
 )
 from ecsumprod.rng import SplitMix64
+import ecsumprod.sampling as sampling_module
 from ecsumprod.sampling import discover_instance, max_order_point, random_curve
 from oracles import oracle_add, oracle_points, oracle_scalar
 
@@ -241,3 +242,39 @@ def test_max_order_point_memory_at_p_1000003():
         tracemalloc.stop()
     assert peak < 2 * p + 3 * 8 * curve_module.BLOCK
     assert is_on_curve(curve, point) and summary.n_points % order == 0
+
+
+@pytest.mark.parametrize("p, seed", [(101, 1), (1009, 1), (1009, 2), (10007, 4)])
+def test_discover_instance_tabulates_each_curve_once(monkeypatch, p, seed):
+    picked = discover_instance(p, seed)
+    tabulated, summarised = [], []
+    real_counts, real_summary = curve_module._affine_counts, sampling_module.curve_summary
+
+    def counting_counts(curve):
+        tabulated.append(curve)
+        return real_counts(curve)
+
+    def counting_summary(curve, cap=curve_module.ENUMERATION_CAP):
+        summarised.append(curve)
+        return real_summary(curve, cap=cap)
+
+    monkeypatch.setattr(curve_module, "_affine_counts", counting_counts)
+    monkeypatch.setattr(sampling_module, "curve_summary", counting_summary)
+    assert discover_instance(p, seed) == picked
+    # one tabulation per summarised candidate; the accepted one is indexed
+    # from the counts its summary made
+    assert tabulated == summarised and summarised[-1] == picked[0]
+    assert curve_module._last_counts == {}
+
+
+def test_affine_points_take_counts_of_their_own_curve_only():
+    c1, c2 = CurveParams(101, 1, 1), CurveParams(101, 2, 3)
+    curve_summary(c1)
+    other = AffinePoints(c2)  # c1's counts stay for c1
+    assert [other[i] for i in range(len(other))] == enumerate_points(c2)[1][1:]
+    assert list(curve_module._last_counts) == [c1]
+    same = AffinePoints(c1)
+    assert [same[i] for i in range(len(same))] == enumerate_points(c1)[1][1:]
+    assert curve_module._last_counts == {}
+    again = AffinePoints(c1)  # nothing left to take: tabulated afresh
+    assert [again[i] for i in range(len(again))] == enumerate_points(c1)[1][1:]

@@ -6,10 +6,12 @@ from ecsumprod import (
     build_orbit,
     extremal_report,
     mobius_identity_residual,
+    mobius_identity_residuals,
     units_with_x_below,
 )
 from ecsumprod.rng import SplitMix64
 from ecsumprod.sampling import discover_instance
+from oracles import naive_mobius_residual
 
 
 def test_units_below_window(known_table):
@@ -104,3 +106,26 @@ def test_mobius_rejects_tiny_order():
     stub = OrbitTable(p=5, a4=1, a6=1, px=0, py=1, order=1, xs=())
     with pytest.raises(ValueError):
         mobius_identity_residual(stub, 1)
+
+
+@pytest.mark.parametrize("p, seed", [(5, 1), (61, 1), (61, 3), (101, 1), (211, 2), (1009, 2)])
+def test_mobius_residuals_match_oracle(p, seed):
+    # T = 68, 24, 111, 216, 1000 carry squared and repeated prime factors
+    curve, summary, point, order = discover_instance(p, seed=seed)
+    table = build_orbit(curve, point, order)
+    lams = [0, 1, 2, p - 1, p, p + 5, -3, 10 ** 30 + 7]
+    got = mobius_identity_residuals(table, lams)
+    assert got.shape == (len(lams),)
+    for lam, value in zip(lams, got):
+        assert abs(value - naive_mobius_residual(table, lam % p)) < 1e-12 * order
+        assert value == mobius_identity_residual(table, lam)  # the one-lambda call
+    assert got[0] == 0.0 and got[4] == 0.0  # lambda = 0 is exact
+    assert mobius_identity_residuals(table, []).shape == (0,)
+
+
+def test_mobius_residuals_on_the_known_table(known_table):
+    # T = 9: units 1, 2, 4, 5, 7, 8; the multiples of 3 are 3 and 6
+    got = mobius_identity_residuals(known_table, range(5))
+    assert got[0] == 0.0
+    for lam in range(5):
+        assert abs(got[lam] - naive_mobius_residual(known_table, lam)) < 1e-12 * 9

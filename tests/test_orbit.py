@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import hashlib
+import pickle
 import struct
 
 import numpy as np
@@ -246,3 +248,30 @@ def test_table_array_is_private(known_table):
         assert not table.xs_array.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
         table.xs = ()
+
+
+def _round_trips(table):
+    yield "pickle", pickle.loads(pickle.dumps(table))
+    yield "pickle protocol 2", pickle.loads(pickle.dumps(table, protocol=2))
+    yield "deepcopy", copy.deepcopy(table)
+    yield "copy", copy.copy(table)
+
+
+@pytest.mark.parametrize("source", ["build_orbit", "tuple", "load_orbit"])
+def test_copied_table_stays_read_only(tmp_path, source):
+    curve, _, point, order = discover_instance(1009, 2)
+    table = build_orbit(curve, point, order)
+    if source == "tuple":
+        table = OrbitTable(p=table.p, a4=table.a4, a6=table.a6, px=table.px,
+                           py=table.py, order=table.order, xs=table.xs)
+    elif source == "load_orbit":
+        save_orbit(table, tmp_path / "orbit.bin")
+        table = load_orbit(tmp_path / "orbit.bin")
+    for how, twin in _round_trips(table):
+        arr = twin.xs_array
+        assert arr.dtype == np.int64 and not arr.flags.writeable, how
+        with pytest.raises(ValueError):
+            arr[0] = 1
+        assert twin == table and hash(twin) == hash(table), how
+        assert arr.tolist() == table.xs_array.tolist() and twin.xs == table.xs
+    assert not table.xs_array.flags.writeable

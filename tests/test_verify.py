@@ -1,11 +1,15 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+import ecsumprod.extremal as extremal
 import ecsumprod.verify as verify
 from ecsumprod import build_orbit, run_identity_suite
 from ecsumprod.curve import CurveParams, curve_summary
+from ecsumprod.field import is_prime
+from ecsumprod.residue import factorize
 from ecsumprod.rng import SplitMix64
 from ecsumprod.sampling import discover_instance
 
@@ -87,3 +91,90 @@ def test_orthogonality_check_sees_a_perturbed_root(monkeypatch, p):
     by_name = {r.name: r for r in run_identity_suite(table, summary.n_points, seed=5)}
     assert not by_name["orthogonality"].ok
     assert by_name["mobius_identity"].ok
+
+
+def _suite_by_name(p, seed):
+    curve, summary, point, order = discover_instance(p, seed=seed)
+    table = build_orbit(curve, point, order)
+    return {r.name: r for r in run_identity_suite(table, summary.n_points, seed=seed)}
+
+
+# discover_instance(p, 2) has T = 52 = 2^2 * 13, 216 = 2^3 * 3^3, 1000 = 2^3 * 5^3
+MUTATION_INSTANCES = [(101, 2), (211, 2), (1009, 2)]
+
+
+@pytest.mark.parametrize("p, seed", MUTATION_INSTANCES)
+@pytest.mark.parametrize("divisor", ["one", "smallest_prime"])
+def test_mobius_check_sees_a_zeroed_weight(monkeypatch, p, seed, divisor):
+    order = discover_instance(p, seed=seed)[3]
+    zeroed = 1 if divisor == "one" else factorize(order)[0][0]
+    real_mobius = extremal.mobius
+    assert real_mobius(zeroed) != 0  # a squarefree divisor of T
+    monkeypatch.setattr(extremal, "mobius", lambda d: 0 if d == zeroed else real_mobius(d))
+    by_name = _suite_by_name(p, seed)
+    assert not by_name["mobius_identity"].ok
+    assert by_name["solution_count"].ok and by_name["subgroup_bound"].ok
+
+
+@pytest.mark.parametrize("p, seed", MUTATION_INSTANCES)
+@pytest.mark.parametrize("position", [0, -1, "middle"])
+def test_mobius_check_sees_a_dropped_unit(monkeypatch, p, seed, position):
+    real_units = extremal.unit_array
+
+    def one_unit_short(t):
+        units = real_units(t)
+        return np.delete(units, len(units) // 2 if position == "middle" else position)
+
+    monkeypatch.setattr(extremal, "unit_array", one_unit_short)
+    by_name = _suite_by_name(p, seed)
+    assert not by_name["mobius_identity"].ok
+    assert by_name["solution_count"].ok
+
+
+def _double_h1(rows):
+    rows[0].real *= 2
+
+
+def _raise_one_h2_cell(rows):
+    # the x of some b in B: every (a, b1 = b2 = b, h = ab) gains a solution
+    rows[0, np.flatnonzero(rows[0].imag)[0]] += 1j
+
+
+def _drop_one_h3_cell(rows):
+    # a sum x(aP) + x(bP) leaves S, and with it the solution (b, b, ab)
+    rows[1, np.flatnonzero(rows[1])[0]] = 0
+
+
+@pytest.mark.parametrize("perturb", [_double_h1, _raise_one_h2_cell, _drop_one_h3_cell])
+@pytest.mark.parametrize("p, seed", MUTATION_INSTANCES)
+def test_solution_count_check_sees_a_perturbed_histogram(monkeypatch, perturb, p, seed):
+    real_fft = np.fft.fft
+
+    def perturbed_fft(rows, *args, **kwargs):
+        rows = np.array(rows, dtype=complex)
+        perturb(rows)
+        return real_fft(rows, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", perturbed_fft)
+    by_name = _suite_by_name(p, seed)
+    assert not by_name["solution_count"].ok
+    assert by_name["mobius_identity"].ok and by_name["subgroup_bound"].ok
+
+
+# sha256 of repr([(p, [(name, ok), ...]), ...]) over every prime 5 .. 1200,
+# instance and suite seed 1 + (index of p mod 3), recorded before the
+# identity kernels were vectorised.
+SUITE_FLAGS_SHA256 = "e19d380ae1bc8eab83f0f5176581649c4c6ae0b6fdcd05d6668d0943b748ea9e"
+
+
+def test_suite_flags_golden():
+    flags = []
+    primes = [p for p in range(5, 1201) if is_prime(p)]
+    for i, p in enumerate(primes):
+        seed = 1 + i % 3
+        curve, summary, point, order = discover_instance(p, seed)
+        table = build_orbit(curve, point, order)
+        results = run_identity_suite(table, summary.n_points, seed)
+        flags.append((p, [(r.name, r.ok) for r in results]))
+    assert len(flags) == 194
+    assert hashlib.sha256(repr(flags).encode()).hexdigest() == SUITE_FLAGS_SHA256
