@@ -21,6 +21,7 @@ from .charsum import (
     bilinear_ratio_scan,
     bilinear_sum,
     bilinear_sum_bound,
+    histogram_sums,
     psi,
     roots_of_unity,
     solutions_spectrum,

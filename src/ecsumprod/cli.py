@@ -59,6 +59,16 @@ def parse_member_set(text):
     return [int(tok) for tok in members]
 
 
+def _member_set_or_units(text, flag, order):
+    """A --setA/--setB set, or every unit of Z_T when the flag is absent."""
+    if text is None:
+        return units_of(order)
+    members = parse_member_set(text)
+    if not members:
+        raise ValueError(f"{flag} gives an empty set; leave it out to use all units")
+    return members
+
+
 def _add_instance_args(sub, with_point=True):
     sub.add_argument("--p", type=int, required=True, help="field prime, >= 5")
     sub.add_argument("--a4", type=int, default=None, help="curve coefficient a4")
@@ -139,8 +149,8 @@ def cmd_verify(args) -> int:
 
 def cmd_sumprod(args) -> int:
     curve, summary, point, order, table = resolve_instance(args)
-    a_set = parse_member_set(args.setA) or units_of(order)
-    b_set = parse_member_set(args.setB) or units_of(order)
+    a_set = _member_set_or_units(args.setA, "--setA", order)
+    b_set = _member_set_or_units(args.setB, "--setB", order)
     rep = sum_product_report(table, a_set, b_set)
     row = {
         **instance_columns(curve, summary, point, order), **sumprod_columns(rep),
@@ -152,8 +162,8 @@ def cmd_sumprod(args) -> int:
 
 def cmd_charsum(args) -> int:
     curve, summary, point, order, table = resolve_instance(args)
-    k_set = parse_member_set(args.setA) or units_of(order)
-    m_set = parse_member_set(args.setB) or units_of(order)
+    k_set = _member_set_or_units(args.setA, "--setA", order)
+    m_set = _member_set_or_units(args.setB, "--setB", order)
     rep = bilinear_ratio_scan(table, k_set, m_set, args.nu)
     sub = subgroup_scan(table)
     row = {

@@ -7,6 +7,7 @@ built on.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -183,22 +184,17 @@ def _root_counts(p: int) -> np.ndarray:
     return counts
 
 
+# One curve's counts: discover_instance summarises a candidate curve and then
+# indexes the accepted one, and one p-byte tabulation serves both.
+@lru_cache(maxsize=1)
 def _affine_counts(curve: CurveParams) -> np.ndarray:
-    """Affine points over every x in F_p (0, 1 or 2), as uint8: p bytes."""
+    """Affine points over every x in F_p (0, 1 or 2), as read-only uint8: p bytes."""
     roots = _root_counts(curve.p)
     counts = np.empty(curve.p, dtype=np.uint8)
     for x0, rhs in _rhs_blocks(curve):
         np.take(roots, rhs, out=counts[x0:x0 + len(rhs)])
+    counts.flags.writeable = False
     return counts
-
-
-# The per-x counts curve_summary tabulated last, keyed by their curve, kept
-# until an AffinePoints of that curve takes them: discover_instance counts
-# the points of a candidate curve and then indexes them, and one p-byte
-# tabulation serves both without a new parameter on either. The counts of
-# a curve are a function of the curve, so whoever takes them gets what it
-# would have built; the slot holds at most one curve's counts.
-_last_counts: dict = {}
 
 
 def _smaller_roots(p: int) -> np.ndarray:
@@ -241,8 +237,8 @@ class AffinePoints:
     running total exceeds i; a cumulative sum over that block alone finds
     its x, and the rank of i among the points over x picks the smaller
     root of f(x) (fp_sqrt) or p minus it. The counts that curve_summary
-    tabulated for the same curve, when it was the last one summarised, are
-    taken over rather than built again.
+    tabulated for the same curve, when it was the last one tabulated, are
+    reused rather than built again.
     """
 
     def __init__(self, curve: CurveParams, cap: int = ENUMERATION_CAP):
@@ -250,8 +246,7 @@ class AffinePoints:
         if p > cap:
             raise CapExceeded(f"point enumeration needs p <= {cap}, got {p}")
         self.curve = curve
-        counts = _last_counts.pop(curve, None)
-        self._counts = _affine_counts(curve) if counts is None else counts
+        self._counts = _affine_counts(curve)
         self._ends = np.cumsum([self._counts[x0:x0 + BLOCK].sum(dtype=np.int64)
                                 for x0 in range(0, p, BLOCK)])
 
@@ -279,8 +274,6 @@ def curve_summary(curve: CurveParams, cap: int = ENUMERATION_CAP) -> CurveSummar
     if p > cap:
         raise CapExceeded(f"curve summary needs p <= {cap}, got {p}")
     counts = _affine_counts(curve)
-    _last_counts.clear()
-    _last_counts[curve] = counts
     n = 1 + int(counts.sum(dtype=np.int64))
     t = p + 1 - n
     if t * t > 4 * p:

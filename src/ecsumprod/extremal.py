@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charsum import _roots_at, roots_of_unity
+from .charsum import histogram_sums
 from .orbit import OrbitTable
 from .residue import divisors, euler_phi, mobius, unit_array
 from .sumprod import prod_set, sum_set
@@ -84,9 +84,10 @@ def mobius_identity_residuals(table: OrbitTable, lams) -> np.ndarray:
     T >= 2, so the identity is exact as computed. lambda = 0 degenerates
     to phi(T) = sum_{d | T} mu(d) (T/d - 1), and gives exactly 0.0.
 
-    Each side is tallied once into a histogram on F_p, LHS from the units
-    and RHS from the weighted multiples (on Z_T first, then carried to
-    F_p through x); every lambda is then read on the union support.
+    Each side is tallied into a histogram on F_p, LHS from the units and RHS
+    from the weighted multiples (on Z_T first, then carried to F_p through
+    x). The identity is linear in psi_lambda, so the residuals are the sums
+    of their difference, which is exactly 0 when the identity holds.
     """
     t, p = table.order, table.p
     if t < 2:
@@ -99,17 +100,7 @@ def mobius_identity_residuals(table: OrbitTable, lams) -> np.ndarray:
         if mu:
             weight[::d] += mu
     rhs = np.bincount(xs, weights=weight[1:], minlength=p)
-    support = np.flatnonzero((lhs != 0) | (rhs != 0))
-    hists = np.array([lhs[support], rhs[support]], dtype=complex)
-    roots = roots_of_unity(p)
-    idx, quot = np.empty_like(support), np.empty_like(support)
-    terms = np.empty(len(support), dtype=complex)
-    lams = [lam % p for lam in lams]
-    out = np.empty(len(lams))
-    for i, lam in enumerate(lams):
-        lhs_value, rhs_value = hists @ _roots_at(roots, support, lam, idx, quot, terms)
-        out[i] = abs(lhs_value - rhs_value)
-    return out
+    return np.abs(histogram_sums(lhs - rhs, lams))
 
 
 def mobius_identity_residual(table: OrbitTable, lam: int) -> float:

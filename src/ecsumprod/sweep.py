@@ -30,6 +30,12 @@ from .verify import run_identity_suite
 
 MODES = ("theorem1", "theorem2", "theorem3", "identities")
 
+
+def _is_int(value) -> bool:
+    """An int that is not a bool: JSON true must not pass as 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 _CONFIG_KEYS = {
     "mode", "p_list", "p_range", "curves_per_p", "sets_per_curve",
     "set_size_rule", "nu", "master_seed", "enumeration_cap", "scan_cap",
@@ -95,7 +101,7 @@ def parse_config(data: dict) -> SweepConfig:
     p_list = p_range = None
     if "p_list" in data:
         raw = data["p_list"]
-        if not isinstance(raw, list) or not all(isinstance(p, int) for p in raw):
+        if not isinstance(raw, list) or not all(_is_int(p) for p in raw):
             raise ValueError("p_list must be a list of ints")
         for p in raw:
             if p < 5 or not is_prime(p):
@@ -104,13 +110,13 @@ def parse_config(data: dict) -> SweepConfig:
     else:
         raw = data["p_range"]
         if (not isinstance(raw, list) or len(raw) != 2
-                or not all(isinstance(v, int) for v in raw) or raw[0] > raw[1]):
+                or not all(_is_int(v) for v in raw) or raw[0] > raw[1]):
             raise ValueError("p_range must be [lo, hi] with lo <= hi")
         p_range = (raw[0], raw[1])
 
     def _positive_int(key, default, minimum=1):
         v = data.get(key, default)
-        if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+        if not _is_int(v) or v < minimum:
             raise ValueError(f"{key} must be an int >= {minimum}, got {v!r}")
         return v
 
@@ -120,15 +126,14 @@ def parse_config(data: dict) -> SweepConfig:
         raise ValueError('set_size_rule must be {"fixed": k} or {"fraction": f}')
     kind, value = next(iter(rule_raw.items()))
     if kind == "fixed":
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        if not _is_int(value) or value < 1:
             raise ValueError("fixed set size must be an int >= 1")
     else:
-        if not isinstance(value, (int, float)) or not 0 < value <= 1:
+        if not (_is_int(value) or isinstance(value, float)) or not 0 < value <= 1:
             raise ValueError("fraction must satisfy 0 < f <= 1")
 
     master_seed = data.get("master_seed", 0)
-    if not isinstance(master_seed, int) or isinstance(master_seed, bool) \
-            or not 0 <= master_seed < 1 << 64:
+    if not _is_int(master_seed) or not 0 <= master_seed < 1 << 64:
         raise ValueError("master_seed must be an int in [0, 2^64)")
 
     return SweepConfig(

@@ -17,6 +17,7 @@ from ecsumprod import (
     bilinear_sum_bound,
     build_orbit,
     count_solutions,
+    histogram_sums,
     product_index_set,
     psi,
     roots_of_unity,
@@ -43,6 +44,48 @@ def test_roots_table():
     assert tab is roots_of_unity(7)  # cached
     with pytest.raises(ValueError):
         tab[0] = 0  # read-only
+
+
+def test_roots_cache_holds_one_prime():
+    roots_of_unity(11)
+    tab = roots_of_unity(13)
+    assert roots_of_unity.cache_info().currsize == 1
+    assert roots_of_unity(13) is tab
+
+
+def _naive_histogram_sum(hist, lam):
+    p = len(hist)
+    return sum(complex(w) * cmath.exp(2j * cmath.pi * (lam * z % p) / p)
+               for z, w in enumerate(hist.tolist()) if w)
+
+
+_HIST_RNG = np.random.default_rng(9)
+
+
+# The Mobius sieve passes a float difference with negative entries, the
+# subgroup sums a nonnegative int64 count.
+@pytest.mark.parametrize("hist", [
+    _HIST_RNG.integers(-3, 4, size=101),
+    _HIST_RNG.integers(0, 3, size=1009) * (_HIST_RNG.random(1009) < 0.3),
+    np.where(_HIST_RNG.random(211) < 0.5, 0.0, _HIST_RNG.normal(size=211)),
+    np.array([0.0, -1.0, 0.0, 0.0, 2.5]),
+], ids=["int_101", "sparse_int_1009", "float_211", "float_5"])
+def test_histogram_sums_match_oracle(hist):
+    p = len(hist)
+    lams = [0, 1, 2, p - 1, p, p + 3, 7 * p + 1, -1, -p - 2,
+            10 ** 30 + 1, -(10 ** 30) - 1, 2 ** 63 + 5]
+    got = histogram_sums(hist, lams)
+    assert got.dtype == complex and got.shape == (len(lams),)
+    tol = 1e-12 * max(1.0, float(np.abs(hist).sum()))
+    for lam, value in zip(lams, got):
+        assert abs(value - _naive_histogram_sum(hist, lam)) < tol
+    assert np.array_equal(histogram_sums(hist, iter(lams)), got)
+    assert histogram_sums(hist, []).shape == (0,)
+
+
+def test_histogram_sums_of_a_zero_histogram():
+    for hist in (np.zeros(7, dtype=np.int64), np.zeros(101)):
+        assert np.array_equal(histogram_sums(hist, [0, 1, 5, -3]), np.zeros(4, dtype=complex))
 
 
 def test_psi_values():

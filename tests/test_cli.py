@@ -177,6 +177,17 @@ def test_exit_two_on_non_unit_set(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["sumprod", "charsum"])
+@pytest.mark.parametrize("flag", ["--setA", "--setB"])
+@pytest.mark.parametrize("source", ["empty_text", "blank_text", "empty_file"])
+def test_exit_two_on_explicit_empty_set(tmp_path, capsys, command, flag, source):
+    # only an absent flag means all units
+    value = {"empty_text": "", "blank_text": " , ", "empty_file": "@" + str(tmp_path / "e.txt")}
+    (tmp_path / "e.txt").write_text("\n")
+    code, out, err = run(capsys, [command, *KNOWN, flag, value[source]])
+    assert code == 2 and out == "" and flag in err
+
+
 def test_exit_two_on_half_specified_instance(capsys):
     code, out, err = run(capsys, ["verify", "--p", "5", "--a4", "1"])
     assert code == 2 and "both --a4 and --a6" in err

@@ -248,33 +248,34 @@ def test_max_order_point_memory_at_p_1000003():
 def test_discover_instance_tabulates_each_curve_once(monkeypatch, p, seed):
     picked = discover_instance(p, seed)
     tabulated, summarised = [], []
-    real_counts, real_summary = curve_module._affine_counts, sampling_module.curve_summary
+    real_roots, real_summary = curve_module._root_counts, sampling_module.curve_summary
 
-    def counting_counts(curve):
-        tabulated.append(curve)
-        return real_counts(curve)
+    def counting_roots(q):
+        tabulated.append(q)
+        return real_roots(q)
 
     def counting_summary(curve, cap=curve_module.ENUMERATION_CAP):
         summarised.append(curve)
         return real_summary(curve, cap=cap)
 
-    monkeypatch.setattr(curve_module, "_affine_counts", counting_counts)
+    monkeypatch.setattr(curve_module, "_root_counts", counting_roots)
     monkeypatch.setattr(sampling_module, "curve_summary", counting_summary)
+    curve_module._affine_counts.cache_clear()
     assert discover_instance(p, seed) == picked
     # one tabulation per summarised candidate; the accepted one is indexed
     # from the counts its summary made
-    assert tabulated == summarised and summarised[-1] == picked[0]
-    assert curve_module._last_counts == {}
+    assert tabulated == [p] * len(summarised) and summarised[-1] == picked[0]
 
 
 def test_affine_points_take_counts_of_their_own_curve_only():
     c1, c2 = CurveParams(101, 1, 1), CurveParams(101, 2, 3)
     curve_summary(c1)
-    other = AffinePoints(c2)  # c1's counts stay for c1
+    other = AffinePoints(c2)  # c1's counts are not taken for c2
     assert [other[i] for i in range(len(other))] == enumerate_points(c2)[1][1:]
-    assert list(curve_module._last_counts) == [c1]
     same = AffinePoints(c1)
     assert [same[i] for i in range(len(same))] == enumerate_points(c1)[1][1:]
-    assert curve_module._last_counts == {}
-    again = AffinePoints(c1)  # nothing left to take: tabulated afresh
+    again = AffinePoints(c1)  # a hit: the counts built for same
     assert [again[i] for i in range(len(again))] == enumerate_points(c1)[1][1:]
+    info = curve_module._affine_counts.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 1, 1)
+    assert again._counts is same._counts and not same._counts.flags.writeable

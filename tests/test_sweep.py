@@ -83,6 +83,19 @@ def test_parse_config_rejections():
             parse_config(data)
 
 
+@pytest.mark.parametrize("data, match", [
+    ({**BASE, "set_size_rule": {"fraction": True}}, "fraction"),
+    ({**BASE, "set_size_rule": {"fixed": True}}, "fixed"),
+    ({**BASE, "nu": True}, "nu"),
+    ({"mode": "identities", "p_range": [True, 20]}, "p_range"),
+    ({"mode": "identities", "p_range": [False, True]}, "p_range"),
+])
+def test_parse_config_rejects_booleans(data, match):
+    # JSON true and false are Python bools, which are ints
+    with pytest.raises(ValueError, match=match):
+        parse_config(data)
+
+
 def test_parse_config_p_range():
     cfg = parse_config({"mode": "identities", "p_range": [1, 20]})
     assert cfg.primes() == (5, 7, 11, 13, 17, 19)
