@@ -6,7 +6,9 @@ lambdas, histogram_sums reads a table of the p-th roots of unity on the
 histogram's support; at every lambda the sums are conj(fft(hist))[lambda],
 which pocketfft computes in O(p log p) for prime p too (Bluestein's
 chirp-z). A real histogram makes the sum at p - lambda the conjugate of
-the sum at lambda, so scans visit lambda in [1, (p-1)/2] only.
+the sum at lambda, so scans visit lambda in [1, (p-1)/2] only. The same
+symmetry lets one complex transform carry two real histograms, as its
+real and imaginary parts; the full scans pack their rows that way.
 
 Orthogonality, (1/p) * sum_lambda psi_lambda(z) = [z = 0], is what turns
 solution counting into the factored spectra in solutions_via_characters.
@@ -26,9 +28,12 @@ from .residue import inv_mod
 # Full scans transform length-p histograms; keep them desk-sized.
 SCAN_CAP = 100_000
 
-# Histogram cells per block of bilinear-scan rows: the block's histograms
-# and their transforms stay near 3 * BLOCK * 8 bytes (3 MB) at any p.
-BLOCK = 1 << 17
+# Bytes per block of bilinear-scan rows. A complex row of p cells carries
+# two K-rows and is transformed in place (16p bytes); splitting its
+# spectrum takes 20p bytes more, so a block holds max(1, BLOCK // (36p))
+# complex rows. One scan at p = 10007 with #K = #M = 40 (blocks of 16
+# K-rows) peaks at 2.94 MB under tracemalloc, within 3.0 MB.
+BLOCK = 3 << 20
 
 
 # One prime's table (16 MB near p = 10^6): sweeps visit primes in order.
@@ -143,13 +148,37 @@ class CharSumReport:
     ratio: float
 
 
+def _half_spectrum_abs(xmat: np.ndarray, p: int) -> np.ndarray:
+    """sum over rows j of |F_j(lambda)| at lambda = 1 .. p // 2, where F_j
+    is the transform of the histogram of row j of xmat (values in [0, p)).
+
+    Rows 2r and 2r + 1 are tallied straight into the real and imaginary
+    parts of complex row r (an odd last row leaves its imaginary part 0),
+    and one FFT transforms them all. With Z that transform and
+    W[lambda] = conj(Z[p - lambda]), real histograms give
+    F_2r = (Z + W)/2 and F_2r+1 = (Z - W)/(2i).
+    """
+    n = len(xmat)
+    j = np.arange(n, dtype=np.int64)
+    cells = 2 * xmat + (2 * p * (j // 2) + j % 2)[:, None]
+    rows = np.bincount(cells.ravel(), weights=np.ones(cells.size),
+                       minlength=2 * p * ((n + 1) // 2)).view(complex).reshape(-1, p)
+    z = np.fft.fft(rows, axis=1, out=rows)
+    lo = z[:, 1:p // 2 + 1]
+    w = np.conj(z[:, :0:-1][:, :p // 2])
+    total = np.abs(lo + w).sum(axis=0)
+    np.subtract(lo, w, out=w)
+    total += np.abs(w).sum(axis=0)
+    return total / 2
+
+
 def bilinear_ratio_scan(table: OrbitTable, k_set, m_set, nu: int,
                         cap: int = SCAN_CAP) -> CharSumReport:
     """Max over every nontrivial lambda of the unit-weight bilinear sum.
 
     The inner sum for a row k is the transform of the histogram of
-    x(kmP) over M, so each row costs one real FFT of length p and the scan
-    O(#K * p log p). Only lambda in [1, (p-1)/2] is scanned: lambda and
+    x(kmP) over M; two rows share one complex FFT of length p, so the scan
+    is O(#K * p log p). Only lambda in [1, (p-1)/2] is scanned: lambda and
     p - lambda give equal sums exactly, so the smaller of the pair is the
     one reported (np.argmax takes the first of equal values).
     """
@@ -165,12 +194,9 @@ def bilinear_ratio_scan(table: OrbitTable, k_set, m_set, nu: int,
     ks = np.array(k_set, dtype=np.int64)
     ms = np.array(m_set, dtype=np.int64)
     vals = np.zeros(p // 2)
-    step = max(1, BLOCK // p)
+    step = 2 * max(1, BLOCK // (36 * p))
     for start in range(0, len(ks), step):
-        xmat = xs[ks[start:start + step, None] * ms[None, :] % t - 1]
-        cells = xmat + p * np.arange(len(xmat), dtype=np.int64)[:, None]
-        hists = np.bincount(cells.ravel(), minlength=len(xmat) * p).reshape(-1, p)
-        vals += np.abs(np.fft.rfft(hists, axis=1)[:, 1:]).sum(axis=0)
+        vals += _half_spectrum_abs(xs[ks[start:start + step, None] * ms[None, :] % t - 1], p)
     i = int(np.argmax(vals))
     best_val = float(vals[i])
     return CharSumReport(nu=nu, lam=i + 1, value=best_val, rhs=rhs, ratio=best_val / rhs)
@@ -204,13 +230,12 @@ class SubgroupScanReport:
 
 
 def subgroup_scan(table: OrbitTable, cap: int = SCAN_CAP) -> SubgroupScanReport:
-    """Max of |subgroup_sum| over every nontrivial lambda, from one real FFT
-    of the x-histogram; lambda is chosen as in bilinear_ratio_scan."""
+    """Max of |subgroup_sum| over every nontrivial lambda, from one FFT of
+    the x-histogram; lambda is chosen as in bilinear_ratio_scan."""
     p = table.p
     if p > cap:
         raise CapExceeded(f"full character scan needs p <= {cap}, got {p}")
-    hist = np.bincount(table.xs_array, minlength=p)
-    vals = np.abs(np.fft.rfft(hist)[1:])
+    vals = _half_spectrum_abs(table.xs_array[None, :], p)
     i = int(np.argmax(vals))
     best_val = float(vals[i])
     return SubgroupScanReport(max_abs=best_val, lam=i + 1,
@@ -254,10 +279,12 @@ def solutions_spectrum(table: OrbitTable, a_set, b_set) -> complex:
     # F1 = (Z + W)/2 and F2 = (Z - W)/(2i), so F1*F2 = (Z^2 - W^2)/(4i).
     # S1 S2 conj(S3) = conj(F1 F2) F3, and summed over all of Z_p:
     #     sum conj(Z^2) F3 - sum_k Z^2[-k] F3[k] = -4i * p * value.
-    # einsum reads the reversed view in place; np.dot would copy it.
+    # einsum reads the reversed view in place, where np.dot would copy it,
+    # and runs on the calling thread, where the BLAS complex dot wakes every
+    # OpenBLAS thread (twice the wall time in CPU on an identities sweep).
     z *= z
     paired = z[0] * f3[0] + np.einsum("i,i", z[:0:-1], f3[1:])
-    return complex((np.vdot(z, f3) - paired) * 1j / (4 * p))
+    return complex((np.einsum("i,i", np.conjugate(z, out=z), f3) - paired) * 1j / (4 * p))
 
 
 def solutions_via_characters(table: OrbitTable, a_set, b_set) -> float:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,14 +287,21 @@ def scan_inputs(draw):
     return table, k, m
 
 
+_UNITS211 = units_of(_SCAN_TABLES[3].order)
+
+
 @given(scan_inputs())
 @example((_KNOWN, set(UNITS9), set(UNITS9)))
+@example((_SCAN_TABLES[3], {_UNITS211[4]}, set(_UNITS211[:9])))
+@example((_SCAN_TABLES[3], set(_UNITS211[:7]), set(_UNITS211[2:5])))
 def test_bilinear_scan_matches_full_lambda_oracle(inputs):
     table, k, m = inputs
     p = table.p
     naive = [naive_bilinear(table, k, m, lam) for lam in range(1, p)]
-    # BLOCK = 1 puts every K-row in its own block
-    for block in (charsum_module.BLOCK, 1):
+    # BLOCK = 1 gives blocks of one complex row (2 K-rows), and 36p * c
+    # bytes blocks of c complex rows; at #K = 7 those leave last blocks of
+    # 1, 3 and 1 K-rows, the last complex row half empty.
+    for block in (charsum_module.BLOCK, 1, 2 * 36 * p, 3 * 36 * p):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(charsum_module, "BLOCK", block)
             rep = bilinear_ratio_scan(table, k, m, nu=1)
@@ -374,3 +382,71 @@ def test_solutions_spectrum_makes_one_fft_of_two_rows(monkeypatch):
     s = sum_set(table, a, b)
     assert round(val.real) == count_solutions(table, b, h, s)
     assert abs(val.imag) < spectrum_tolerance(table.p, len(b), len(h), len(s))
+
+
+@pytest.mark.parametrize("blas", ["vdot", "dot", "inner", "matmul"])
+def test_spectra_make_no_blas_call(monkeypatch, blas):
+    # The threaded complex BLAS dot wakes every OpenBLAS thread for rows of
+    # length p; einsum runs on the calling thread.
+    table = _PARITY_TABLES["even_1009"]
+    a = sample_unit_subset(table.order, 8, 1)
+    b = sample_unit_subset(table.order, 8, 2)
+    exact = count_solutions(table, b, product_index_set(a, b, table.order), sum_set(table, a, b))
+    hist = np.bincount(table.xs_array, minlength=table.p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"np.{blas} called")
+
+    monkeypatch.setattr(np, blas, refuse)
+    assert round(solutions_spectrum(table, a, b).real) == exact
+    got = histogram_sums(hist, [1, 2, 5])
+    assert abs(got[0] - naive_subgroup_sum(table, 1)) < 1e-12 * table.order
+
+
+def test_full_scans_pack_two_rows_per_fft(monkeypatch):
+    table = _PARITY_TABLES["odd_1009"]
+    p = table.p
+    k = sample_unit_subset(table.order, 13, 1)
+    m = sample_unit_subset(table.order, 7, 2)
+    expected = bilinear_ratio_scan(table, k, m, nu=1)
+    calls = []
+    real_fft = np.fft.fft
+
+    def counting_fft(a, *args, **kwargs):
+        calls.append(("fft", np.shape(a)))
+        return real_fft(a, *args, **kwargs)
+
+    def counting_rfft(a, *args, **kwargs):
+        calls.append(("rfft", np.shape(a)))
+        raise AssertionError("the scans pack real rows into complex ones")
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    # The default BLOCK holds all 13 K-rows at p = 1009: one call, 7 rows.
+    assert bilinear_ratio_scan(table, k, m, nu=1) == expected
+    assert calls == [("fft", (7, p))]
+    # 2 complex rows (4 K-rows) per block: ceil(13 / 4) calls, the last
+    # one of a single half-empty row.
+    calls.clear()
+    monkeypatch.setattr(charsum_module, "BLOCK", 2 * 36 * p)
+    rep = bilinear_ratio_scan(table, k, m, nu=1)
+    assert calls == [("fft", (2, p))] * 3 + [("fft", (1, p))]
+    assert rep.lam == expected.lam
+    assert rep.value == pytest.approx(expected.value, rel=1e-12)
+    calls.clear()
+    subgroup_scan(table)
+    assert calls == [("fft", (1, p))]
+
+
+def test_bilinear_scan_block_memory_at_p_10007():
+    table = _table(10007, 1)
+    k = sample_unit_subset(table.order, 40, 1)
+    m = sample_unit_subset(table.order, 40, 2)
+    tracemalloc.start()
+    try:
+        bilinear_ratio_scan(table, k, m, nu=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the budget the BLOCK comment states (blocks of 16 K-rows here)
+    assert peak <= 3.0e6

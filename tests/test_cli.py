@@ -220,3 +220,24 @@ def test_sweep_csv_unchanged_under_optimize(tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") == 5
+
+
+@pytest.mark.parametrize("mode", ["theorem1", "theorem3", "identities"])
+def test_every_mode_sweeps_the_same_csv_under_optimize(tmp_path, mode):
+    # theorem2 is the case above; -O strips asserts, so a check written as
+    # one would vanish there and could change a row
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"mode": mode, "p_list": [101, 211], "master_seed": 5}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    outputs = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"out{len(flags)}.csv"
+        subprocess.run(
+            [sys.executable, *flags, "-m", "ecsumprod.cli", "sweep",
+             "--config", str(cfg), "--out", str(out)],
+            env=env, check=True, timeout=120)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 3
