@@ -22,7 +22,6 @@ from .charsum import (
     bilinear_sum,
     bilinear_sum_bound,
     histogram_sums,
-    psi,
     roots_of_unity,
     solutions_spectrum,
     solutions_via_characters,

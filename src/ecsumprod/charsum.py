@@ -72,11 +72,6 @@ def histogram_sums(hist: np.ndarray, lams) -> np.ndarray:
     return sums
 
 
-def psi(lam: int, z: int, p: int) -> complex:
-    """psi_lambda(z) = exp(2*pi*i*lambda*z/p)."""
-    return complex(roots_of_unity(p)[lam * z % p])
-
-
 def _weight_vector(weights, members) -> np.ndarray | None:
     """Materialize an optional weight map over a member tuple; |w| <= 1."""
     if weights is None:
@@ -100,7 +95,7 @@ def bilinear_sum(table: OrbitTable, k_set, m_set, lam: int,
     m_set = check_unit_subset(m_set, t)
     if not k_set or not m_set:
         return 0.0
-    xs = table.xs_array
+    xs = table.xs
     ks = np.array(k_set, dtype=np.int64)
     ms = np.array(m_set, dtype=np.int64)
     xmat = xs[(ks[:, None] * ms[None, :]) % t - 1]
@@ -190,7 +185,7 @@ def bilinear_ratio_scan(table: OrbitTable, k_set, m_set, nu: int,
     if not k_set or not m_set:
         raise DomainError("scan needs nonempty K and M")
     rhs = bilinear_sum_bound(nu, len(k_set), len(m_set), t, p)
-    xs = table.xs_array
+    xs = table.xs
     ks = np.array(k_set, dtype=np.int64)
     ms = np.array(m_set, dtype=np.int64)
     vals = np.zeros(p // 2)
@@ -212,7 +207,7 @@ def subgroup_sums(table: OrbitTable, lams) -> np.ndarray:
     lams = [lam % p for lam in lams]
     if 0 in lams:
         raise TrivialCharacter("subgroup sum over the trivial character is just T - 1")
-    return histogram_sums(np.bincount(table.xs_array, minlength=p), lams)
+    return histogram_sums(np.bincount(table.xs, minlength=p), lams)
 
 
 def subgroup_sum(table: OrbitTable, lam: int) -> complex:
@@ -235,7 +230,7 @@ def subgroup_scan(table: OrbitTable, cap: int = SCAN_CAP) -> SubgroupScanReport:
     p = table.p
     if p > cap:
         raise CapExceeded(f"full character scan needs p <= {cap}, got {p}")
-    vals = _half_spectrum_abs(table.xs_array[None, :], p)
+    vals = _half_spectrum_abs(table.xs[None, :], p)
     i = int(np.argmax(vals))
     best_val = float(vals[i])
     return SubgroupScanReport(max_abs=best_val, lam=i + 1,
@@ -260,7 +255,7 @@ def solutions_spectrum(table: OrbitTable, a_set, b_set) -> complex:
     b_set = check_unit_subset(b_set, t)
     if not a_set or not b_set:
         return 0j
-    xs = table.xs_array
+    xs = table.xs
     hs = np.array(product_index_set(a_set, b_set, t), dtype=np.int64)
     # How often each k = h * b1^-1 occurs over B x H, tallied on Z_T one b1
     # at a time (for fixed b1 the k are distinct), then moved to x(kP).

@@ -22,7 +22,7 @@ def units_with_x_below(table: OrbitTable, window: int) -> tuple[int, ...]:
     if window < 0:
         raise ValueError("window must be nonnegative")
     units = unit_array(table.order)
-    return tuple(units[table.xs_array[units - 1] < window].tolist())
+    return tuple(units[table.xs[units - 1] < window].tolist())
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def mobius_identity_residuals(table: OrbitTable, lams) -> np.ndarray:
     t, p = table.order, table.p
     if t < 2:
         raise ValueError("identity needs order >= 2")
-    xs = table.xs_array
+    xs = table.xs
     lhs = np.bincount(xs[unit_array(t) - 1], minlength=p)
     weight = np.zeros(t, dtype=np.int64)  # weight[k]: sum of mu(d), d | T and d | k
     for d in divisors(t):

@@ -2,15 +2,17 @@
 
 A table is built once by a vectorised half walk and shared read-only
 afterwards; every sum, count and character evaluation in the package reads
-from it. The walk computes kP for k <= T/2 only, in up to LANES lanes that
-each add the same multiple of P with one batched Fermat inversion per step,
-and mirrors the rest through x(kP) = x((T-k)P). The identity T*P has no x-coordinate by
+from it. Its x-values are stored once, as the read-only int64 array xs;
+equality compares the header fields and that array, and the hash reads
+the header fields only, so neither builds a T-length object. The walk
+computes kP for k <= T/2 only, in up to LANES lanes that each add the same
+multiple of P with one batched Fermat inversion per step, and mirrors the
+rest through x(kP) = x((T-k)P). The identity T*P has no x-coordinate by
 design, so index k = 0 (mod T) is an error rather than a sentinel value.
 """
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -27,33 +29,6 @@ CACHE_MAGIC = b"ECSP1"
 LANES = 2048
 
 
-class _XsField:
-    """The xs field of OrbitTable: given as a tuple or an int64 array.
-
-    An array is kept read-only as xs_array and the tuple is derived from it
-    on first read; a tuple is kept as given and xs_array converts it on
-    first read. Either way the dataclass eq, hash and repr read the tuple.
-    """
-
-    def __get__(self, table, owner=None):
-        if table is None:
-            raise AttributeError("xs")  # the field has no default
-        state = table.__dict__
-        if "xs" not in state:
-            state["xs"] = tuple(table.xs_array.tolist())
-        return state["xs"]
-
-    def __set__(self, table, value):
-        # only the dataclass __init__ gets here; a frozen table refuses setattr
-        if isinstance(value, np.ndarray):
-            if value.dtype != np.int64 or value.flags.writeable:
-                value = np.array(value, dtype=np.int64)
-                value.flags.writeable = False
-            table.__dict__["xs_array"] = value
-        else:
-            table.__dict__["xs"] = tuple(value)
-
-
 @dataclass(frozen=True)
 class OrbitTable:
     """x(kP) for k = 1 .. order-1, plus the provenance needed to rebuild it."""
@@ -64,34 +39,40 @@ class OrbitTable:
     px: int
     py: int
     order: int  # exact order T of the base point
-    xs: tuple[int, ...] = _XsField()  # xs[k-1] = x(kP), length order-1
+    xs: np.ndarray  # read-only int64, xs[k-1] = x(kP), length order-1
+
+    def __post_init__(self):
+        xs = self.xs
+        if not isinstance(xs, np.ndarray) or xs.dtype != np.int64 or xs.flags.writeable:
+            # a private copy, so the table cannot change under its readers
+            try:
+                xs = np.array(xs, dtype=np.int64)
+            except OverflowError:  # a value beyond int64 is beyond F_p
+                raise ValueError("x-value out of field range") from None
+            xs.flags.writeable = False
+            object.__setattr__(self, "xs", xs)
+
+    def _header(self) -> tuple:
+        return (self.p, self.a4, self.a6, self.px, self.py, self.order)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._header() == other._header() and np.array_equal(self.xs, other.xs)
+
+    def __hash__(self):
+        return hash(self._header())
+
+    def __reduce__(self):
+        # through the constructor, not __dict__: an unpickled array comes
+        # back writable, and __post_init__ makes it read-only again
+        return OrbitTable, (*self._header(), self.xs)
 
     def curve(self) -> CurveParams:
         return CurveParams(self.p, self.a4, self.a6)
 
     def base_point(self):
         return (self.px, self.py)
-
-    @cached_property
-    def xs_array(self) -> np.ndarray:
-        """xs as a read-only int64 array: the one build_orbit made, or xs
-        converted once."""
-        arr = np.array(self.xs, dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
-
-    def __reduce__(self):
-        # pickle and copy rebuild through _rebuild_table, not __dict__: an
-        # unpickled array comes back writable
-        return _rebuild_table, (self.p, self.a4, self.a6, self.px, self.py,
-                                self.order, self.xs_array)
-
-
-def _rebuild_table(p, a4, a6, px, py, order, xs: np.ndarray) -> OrbitTable:
-    """An OrbitTable from pickled or copied fields; xs is the copy's own
-    array, so it is made read-only in place rather than copied again."""
-    xs.flags.writeable = False
-    return OrbitTable(p=p, a4=a4, a6=a6, px=px, py=py, order=order, xs=xs)
 
 
 def _add_point(curve: CurveParams, x: np.ndarray, y: np.ndarray, qx: int, qy: int):
@@ -174,31 +155,30 @@ def x_of(table: OrbitTable, k: int) -> int:
     r = k % table.order
     if r == 0:
         raise IdentityHasNoX(f"k = {k} = 0 mod {table.order}")
-    return int(table.xs_array[r - 1])
+    return int(table.xs[r - 1])
 
 
 def save_orbit(table: OrbitTable, path) -> None:
     """Write the binary cache: magic, 6 little-endian u64 header words
     (p, a4, a6, x(P), y(P), T), then the T-1 x-values as u64."""
-    header = struct.pack(
-        "<6Q", table.p, table.a4, table.a6, table.px, table.py, table.order
-    )
-    body = table.xs_array.astype("<u8").tobytes()
+    header = struct.pack("<6Q", *table._header())
+    body = table.xs.astype("<u8").tobytes()
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC + header + body)
 
 
 def load_orbit(path) -> OrbitTable:
     """Read a cache written by save_orbit and re-validate its invariants."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(CACHE_MAGIC)] != CACHE_MAGIC:
+    # unbuffered, so the body is read into one bytes object and not joined
+    # to a read-ahead buffer; np.frombuffer then wraps it without a copy
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(len(CACHE_MAGIC) + 48)
+        body = fh.read()
+    if head[: len(CACHE_MAGIC)] != CACHE_MAGIC:
         raise ValueError(f"{path}: bad magic, not an orbit cache")
-    rest = blob[len(CACHE_MAGIC):]
-    if len(rest) < 48:
+    if len(head) < len(CACHE_MAGIC) + 48:
         raise ValueError(f"{path}: truncated header")
-    p, a4, a6, px, py, order = struct.unpack_from("<6Q", rest)
-    body = rest[48:]
+    p, a4, a6, px, py, order = struct.unpack_from("<6Q", head, len(CACHE_MAGIC))
     if len(body) != 8 * (order - 1):
         raise ValueError(f"{path}: expected {order - 1} x-values, found {len(body) // 8}")
     # a u64 value of 2^63 or more reads as negative and fails the range check
@@ -217,10 +197,7 @@ def validate_orbit(table: OrbitTable) -> None:
     """
     curve = table.curve()
     point = require_on_curve(curve, table.base_point())
-    try:
-        xs = table.xs_array
-    except OverflowError:  # a value beyond int64 is beyond F_p
-        raise ValueError("x-value out of field range") from None
+    xs = table.xs
     if table.order < 2 or len(xs) != table.order - 1:
         raise OrderMismatch("table length disagrees with the recorded order")
     if xs.min() < 0 or xs.max() >= table.p:

@@ -96,7 +96,7 @@ def _distinct(n: int, xs: np.ndarray, ys: np.ndarray, op) -> np.ndarray:
 def _x_values(table: OrbitTable, units: np.ndarray) -> np.ndarray:
     """Sorted distinct x(mP) over already checked units m, by a hit-mask on F_p."""
     hit = np.zeros(table.p, dtype=bool)
-    hit[table.xs_array[units - 1]] = True
+    hit[table.xs[units - 1]] = True
     return np.flatnonzero(hit)
 
 
@@ -145,7 +145,7 @@ def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
         return 0
     if us[0] < 0 or us[-1] >= p:
         raise ValueError("sum values must be canonical residues mod p")
-    xs = table.xs_array
+    xs = table.xs
     inv_b = np.array([inv_mod(b, t) for b in bs.tolist()], dtype=np.int64)
     # rows per block: L2-sized, but at least T indices per length-T bincount
     step = max(1, BLOCK // len(hs), -(-t // len(hs)))

@@ -49,7 +49,7 @@ def run_identity_suite(table: OrbitTable, n_points: int, seed: int) -> list[Chec
     ok = scalar_mul(curve, n_points, point) is INFINITY and n_points % t == 0
     results.append(_check("group_order", ok, f"N={n_points}, T={t}"))
 
-    ok = np.array_equal(table.xs_array, table.xs_array[::-1])
+    ok = np.array_equal(table.xs, table.xs[::-1])
     results.append(_check("orbit_symmetry", ok, f"T={t}"))
 
     # Orbit spot values against an independent double-and-add walk.

@@ -20,7 +20,6 @@ from ecsumprod import (
     count_solutions,
     histogram_sums,
     product_index_set,
-    psi,
     roots_of_unity,
     solutions_spectrum,
     solutions_via_characters,
@@ -87,16 +86,6 @@ def test_histogram_sums_match_oracle(hist):
 def test_histogram_sums_of_a_zero_histogram():
     for hist in (np.zeros(7, dtype=np.int64), np.zeros(101)):
         assert np.array_equal(histogram_sums(hist, [0, 1, 5, -3]), np.zeros(4, dtype=complex))
-
-
-def test_psi_values():
-    assert psi(0, 3, 5) == 1
-    assert psi(1, 0, 5) == 1
-    assert psi(1, 1, 5) == pytest.approx(cmath.exp(2j * cmath.pi / 5))
-    for lam in range(1, 7):
-        for z in range(7):
-            assert abs(psi(lam, z, 7)) == pytest.approx(1.0)
-            assert psi(7 - lam, z, 7) == pytest.approx(psi(lam, z, 7).conjugate())
 
 
 def test_bilinear_matches_oracle(known_table):
@@ -392,7 +381,7 @@ def test_spectra_make_no_blas_call(monkeypatch, blas):
     a = sample_unit_subset(table.order, 8, 1)
     b = sample_unit_subset(table.order, 8, 2)
     exact = count_solutions(table, b, product_index_set(a, b, table.order), sum_set(table, a, b))
-    hist = np.bincount(table.xs_array, minlength=table.p)
+    hist = np.bincount(table.xs, minlength=table.p)
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"np.{blas} called")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import ecsumprod.cli as cli_module
 import ecsumprod.sumprod as sumprod_module
 from ecsumprod.cli import main, parse_member_set
 from ecsumprod.orbit import load_orbit
@@ -69,7 +70,7 @@ def test_orbit_build_round_trip(tmp_path, capsys):
     meta = json.loads(out)
     assert meta["path"] == cache and meta["T"] == 9 and meta["N"] == 9
     table = load_orbit(cache)
-    assert table.xs == (0, 4, 2, 3, 3, 2, 4, 0)
+    assert table.xs.tolist() == [0, 4, 2, 3, 3, 2, 4, 0]
 
 
 def test_verify_text(capsys):
@@ -191,6 +192,14 @@ def test_exit_two_on_explicit_empty_set(tmp_path, capsys, command, flag, source)
 def test_exit_two_on_half_specified_instance(capsys):
     code, out, err = run(capsys, ["verify", "--p", "5", "--a4", "1"])
     assert code == 2 and "both --a4 and --a6" in err
+
+
+def test_exit_two_on_memory_error(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setattr(cli_module, "sum_product_report", exhausted)
+    code, out, err = run(capsys, ["sumprod", *KNOWN, "--setA", "1,2", "--setB", "1,2"])
+    assert code == 2 and out == "" and "error: MemoryError" in err
 
 
 def test_missing_required_args():

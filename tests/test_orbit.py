@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import pickle
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from oracles import oracle_add
 
 
 def test_known_orbit(known_table):
-    assert known_table.xs == (0, 4, 2, 3, 3, 2, 4, 0)
+    assert known_table.xs.tolist() == [0, 4, 2, 3, 3, 2, 4, 0]
     assert known_table.order == 9
     assert known_table.base_point() == (0, 1)
 
@@ -52,7 +53,7 @@ def test_symmetry(known_table):
 def test_order_two_orbit():
     curve = CurveParams(5, 1, 0)  # (0,0) is 2-torsion: y = 0
     table = build_orbit(curve, (0, 0), 2)
-    assert table.xs == (0,)
+    assert table.xs.tolist() == [0]
 
 
 def test_wrong_order_rejected(known_curve):
@@ -138,7 +139,7 @@ def test_random_orbits_symmetric_and_consistent():
         curve, summary, point, order = discover_instance(p, seed=500 + i)
         table = build_orbit(curve, point, order)
         assert len(table.xs) == order - 1
-        assert table.xs == tuple(reversed(table.xs))
+        assert table.xs.tolist() == table.xs[::-1].tolist()
         assert point_order(curve, point, summary.n_points) == order
         _, pts = enumerate_points(curve)
         assert point in pts
@@ -165,7 +166,7 @@ def test_walk_matches_oracle_on_every_point(monkeypatch, lanes):
         for q in pts[1:]:
             xs, t = _oracle_walk(curve, q)
             orders.add(t)
-            assert build_orbit(curve, q, t).xs == xs
+            assert build_orbit(curve, q, t).xs.tolist() == list(xs)
             for bad in {t - 1, t + 1, 2 * t, t // 2}:
                 with pytest.raises(OrderMismatch):
                     build_orbit(curve, q, bad)
@@ -194,13 +195,36 @@ def test_large_table_spot_values():
         assert table.xs[k - 1] == scalar_mul(curve, k, point)[0]
 
 
-def test_xs_array_is_a_cached_read_only_view(known_curve, known_table):
-    arr = known_table.xs_array
-    assert arr.dtype == np.int64 and arr.tolist() == list(known_table.xs)
-    assert not arr.flags.writeable and known_table.xs_array is arr
+def test_xs_is_a_read_only_array(known_curve, known_table):
+    arr = known_table.xs
+    assert arr.dtype == np.int64 and not arr.flags.writeable
     fresh = build_orbit(known_curve, (0, 1), 9)
     assert fresh == known_table and hash(fresh) == hash(known_table)
-    assert repr(fresh) == repr(known_table) and "xs_array" not in repr(known_table)
+    assert repr(fresh) == repr(known_table)
+
+
+def _traced_peak(fn):
+    """fn() and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hash_and_repr_build_no_t_length_object():
+    curve, _, point, order = discover_instance(10007, 4)
+    table = build_orbit(curve, point, order)
+    text, peak = _traced_peak(lambda: (hash(table), repr(table))[1])
+    assert len(text) < 1000 and peak < 64 * 1024
+
+
+def test_load_orbit_holds_one_copy_of_the_body(tmp_path):
+    curve, _, point, order = discover_instance(10007, 4)
+    save_orbit(build_orbit(curve, point, order), tmp_path / "orbit.bin")
+    table, peak = _traced_peak(lambda: load_orbit(tmp_path / "orbit.bin"))
+    assert table.order == order and peak < 1.5 * 8 * (order - 1)
 
 
 # sha256 of save_orbit's file for discover_instance(p, seed), recorded when
@@ -222,18 +246,17 @@ def test_array_native_table(tmp_path, p, seed):
     save_orbit(table, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _CACHE_SHA256[p, seed]
 
-    arr = table.xs_array
+    arr = table.xs
     assert arr.dtype == np.int64 and not arr.flags.writeable
-    assert table.xs_array is arr and "xs" not in vars(table)  # no tuple until asked
     assert type(x_of(table, 1)) is int and x_of(table, -1) == point[0]
 
     fields = dict(p=table.p, a4=table.a4, a6=table.a6, px=table.px, py=table.py, order=order)
     from_tuple = OrbitTable(xs=tuple(arr.tolist()), **fields)
-    assert table.xs == from_tuple.xs == tuple(arr.tolist())
+    assert table.xs.tolist() == from_tuple.xs.tolist() == arr.tolist()
     assert table == from_tuple and hash(table) == hash(from_tuple)
     assert repr(table) == repr(from_tuple)
-    assert from_tuple.xs_array.tolist() == arr.tolist()
-    assert OrbitTable(xs=arr, **fields).xs_array is arr  # read-only int64: kept, not copied
+    assert from_tuple.xs.tolist() == arr.tolist()
+    assert OrbitTable(xs=arr, **fields).xs is arr  # read-only int64: kept, not copied
     assert dataclasses.replace(table, xs=from_tuple.xs) == table
     assert load_orbit(path) == table
 
@@ -244,8 +267,8 @@ def test_table_array_is_private(known_table):
         source = np.array(known_table.xs, dtype=dtype)
         table = dataclasses.replace(known_table, xs=source)
         source[0] = 3
-        assert table == known_table and table.xs_array.dtype == np.int64
-        assert not table.xs_array.flags.writeable
+        assert table == known_table and table.xs.dtype == np.int64
+        assert not table.xs.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
         table.xs = ()
 
@@ -263,15 +286,15 @@ def test_copied_table_stays_read_only(tmp_path, source):
     table = build_orbit(curve, point, order)
     if source == "tuple":
         table = OrbitTable(p=table.p, a4=table.a4, a6=table.a6, px=table.px,
-                           py=table.py, order=table.order, xs=table.xs)
+                           py=table.py, order=table.order, xs=tuple(table.xs.tolist()))
     elif source == "load_orbit":
         save_orbit(table, tmp_path / "orbit.bin")
         table = load_orbit(tmp_path / "orbit.bin")
     for how, twin in _round_trips(table):
-        arr = twin.xs_array
+        arr = twin.xs
         assert arr.dtype == np.int64 and not arr.flags.writeable, how
         with pytest.raises(ValueError):
             arr[0] = 1
         assert twin == table and hash(twin) == hash(table), how
-        assert arr.tolist() == table.xs_array.tolist() and twin.xs == table.xs
-    assert not table.xs_array.flags.writeable
+        assert arr.tolist() == table.xs.tolist()
+    assert not table.xs.flags.writeable
