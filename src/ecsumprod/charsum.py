@@ -73,10 +73,10 @@ def histogram_sums(hist: np.ndarray, lams) -> np.ndarray:
 
 
 def _weight_vector(weights, members) -> np.ndarray | None:
-    """Materialize an optional weight map over a member tuple; |w| <= 1."""
+    """Materialize an optional weight map over a member array; |w| <= 1."""
     if weights is None:
         return None
-    vec = np.array([complex(weights.get(m, 1.0)) for m in members])
+    vec = np.array([complex(weights.get(m, 1.0)) for m in members.tolist()])
     if np.any(np.abs(vec) > 1 + 1e-9):
         raise ValueError("weights must have modulus at most 1")
     return vec
@@ -93,12 +93,9 @@ def bilinear_sum(table: OrbitTable, k_set, m_set, lam: int,
     t, p = table.order, table.p
     k_set = check_unit_subset(k_set, t)
     m_set = check_unit_subset(m_set, t)
-    if not k_set or not m_set:
+    if not len(k_set) or not len(m_set):
         return 0.0
-    xs = table.xs
-    ks = np.array(k_set, dtype=np.int64)
-    ms = np.array(m_set, dtype=np.int64)
-    xmat = xs[(ks[:, None] * ms[None, :]) % t - 1]
+    xmat = table.xs[(k_set[:, None] * m_set[None, :]) % t - 1]
     phases = roots_of_unity(p)[lam % p * xmat % p]
     theta_vec = _weight_vector(theta, m_set)
     if theta_vec is not None:
@@ -182,16 +179,14 @@ def bilinear_ratio_scan(table: OrbitTable, k_set, m_set, nu: int,
         raise CapExceeded(f"full character scan needs p <= {cap}, got {p}")
     k_set = check_unit_subset(k_set, t)
     m_set = check_unit_subset(m_set, t)
-    if not k_set or not m_set:
+    if not len(k_set) or not len(m_set):
         raise DomainError("scan needs nonempty K and M")
     rhs = bilinear_sum_bound(nu, len(k_set), len(m_set), t, p)
     xs = table.xs
-    ks = np.array(k_set, dtype=np.int64)
-    ms = np.array(m_set, dtype=np.int64)
     vals = np.zeros(p // 2)
     step = 2 * max(1, BLOCK // (36 * p))
-    for start in range(0, len(ks), step):
-        vals += _half_spectrum_abs(xs[ks[start:start + step, None] * ms[None, :] % t - 1], p)
+    for start in range(0, len(k_set), step):
+        vals += _half_spectrum_abs(xs[k_set[start:start + step, None] * m_set[None, :] % t - 1], p)
     i = int(np.argmax(vals))
     best_val = float(vals[i])
     return CharSumReport(nu=nu, lam=i + 1, value=best_val, rhs=rhs, ratio=best_val / rhs)
@@ -253,20 +248,20 @@ def solutions_spectrum(table: OrbitTable, a_set, b_set) -> complex:
     t, p = table.order, table.p
     a_set = check_unit_subset(a_set, t)
     b_set = check_unit_subset(b_set, t)
-    if not a_set or not b_set:
+    if not len(a_set) or not len(b_set):
         return 0j
     xs = table.xs
-    hs = np.array(product_index_set(a_set, b_set, t), dtype=np.int64)
+    hs = product_index_set(a_set, b_set, t)
     # How often each k = h * b1^-1 occurs over B x H, tallied on Z_T one b1
     # at a time (for fixed b1 the k are distinct), then moved to x(kP).
     pop = np.zeros(t, dtype=np.int64)
-    for b in b_set:
+    for b in b_set.tolist():
         pop[hs * inv_mod(b, t) % t] += 1
     # Two complex rows carry the three real histograms: h1 + i*h2 and h3.
     rows = np.zeros((2, p), dtype=complex)
     rows[0].real = np.bincount(xs, weights=pop[1:], minlength=p)
-    rows[0].imag = np.bincount(xs[np.array(b_set, dtype=np.int64) - 1], minlength=p)
-    rows[1, list(sum_set(table, a_set, b_set))] = 1.0
+    rows[0].imag = np.bincount(xs[b_set - 1], minlength=p)
+    rows[1, sum_set(table, a_set, b_set)] = 1.0
     # One call for both: pocketfft plans a prime length afresh on every
     # call, and the plan costs more than a transform.
     z, f3 = np.fft.fft(rows, axis=1)

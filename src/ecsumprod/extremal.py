@@ -13,16 +13,16 @@ import numpy as np
 
 from .charsum import histogram_sums
 from .orbit import OrbitTable
-from .residue import divisors, euler_phi, mobius, unit_array
+from .residue import divisors, euler_phi, mobius, units_of
 from .sumprod import prod_set, sum_set
 
 
-def units_with_x_below(table: OrbitTable, window: int) -> tuple[int, ...]:
-    """Units a of Z_T with x(aP) < window, sorted."""
+def units_with_x_below(table: OrbitTable, window: int) -> np.ndarray:
+    """Units a of Z_T with x(aP) < window, as a sorted int64 array."""
     if window < 0:
         raise ValueError("window must be nonnegative")
-    units = unit_array(table.order)
-    return tuple(units[table.xs[units - 1] < window].tolist())
+    units = units_of(table.order)
+    return units[table.xs[units - 1] < window]
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,13 @@ def extremal_report(table: OrbitTable, window: int | None = None) -> ExtremalRep
     if window is None:
         window = phi // 2
     a_set = units_with_x_below(table, window)
-    if a_set:
-        s_vals = sum_set(table, a_set, a_set)
-        t_vals = prod_set(table, a_set, a_set)
-    else:
-        s_vals, t_vals = (), ()
+    s_vals = sum_set(table, a_set, a_set)
+    t_vals = prod_set(table, a_set, a_set)
     bound_2h = None
     if 2 * window - 2 < p:
         bound_2h = len(s_vals) <= max(0, 2 * window - 1)
     ratio = None
-    if a_set:
+    if len(a_set):
         ratio = max(len(s_vals), len(t_vals)) / math.sqrt(p * len(a_set))
     return ExtremalReport(
         h_window=window,
@@ -93,7 +90,7 @@ def mobius_identity_residuals(table: OrbitTable, lams) -> np.ndarray:
     if t < 2:
         raise ValueError("identity needs order >= 2")
     xs = table.xs
-    lhs = np.bincount(xs[unit_array(t) - 1], minlength=p)
+    lhs = np.bincount(xs[units_of(t) - 1], minlength=p)
     weight = np.zeros(t, dtype=np.int64)  # weight[k]: sum of mu(d), d | T and d | k
     for d in divisors(t):
         mu = mobius(d)

@@ -63,6 +63,10 @@ class OrbitTable:
     def __hash__(self):
         return hash(self._header())
 
+    def __deepcopy__(self, memo):
+        # frozen, with a read-only array: a copy could never differ from it
+        return self
+
     def __reduce__(self):
         # through the constructor, not __dict__: an unpickled array comes
         # back writable, and __post_init__ makes it read-only again

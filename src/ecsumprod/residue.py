@@ -48,7 +48,7 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
-def unit_array(t: int) -> np.ndarray:
+def units_of(t: int) -> np.ndarray:
     """The unit group of Z_t as a sorted int64 array, t >= 2."""
     if t < 2:
         raise ValueError("units_of needs t >= 2")
@@ -59,11 +59,6 @@ def unit_array(t: int) -> np.ndarray:
     for q, _ in factorize(t):
         unit[::q] = False
     return np.flatnonzero(unit)
-
-
-def units_of(t: int) -> tuple[int, ...]:
-    """The unit group of Z_t as a sorted tuple, t >= 2."""
-    return tuple(unit_array(t).tolist())
 
 
 def inv_mod(a: int, t: int) -> int:

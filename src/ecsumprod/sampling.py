@@ -4,6 +4,8 @@ Everything here draws from SplitMix64 streams only, so any (seed, inputs)
 pair reproduces bit-for-bit.
 """
 
+import numpy as np
+
 from .curve import (
     ENUMERATION_CAP,
     AffinePoints,
@@ -13,20 +15,21 @@ from .curve import (
     point_order,
 )
 from .errors import TooLarge
-from .residue import unit_array
+from .residue import units_of
 from .rng import SplitMix64
 
 
-def sample_unit_subset(t: int, k: int, seed: int) -> tuple[int, ...]:
+def sample_unit_subset(t: int, k: int, seed: int) -> np.ndarray:
     """k distinct units of Z_t, drawn by a partial Fisher-Yates shuffle.
 
     The shuffle walks the sorted unit array using SplitMix64(seed).below
-    for the swap indices; the first k slots are returned sorted. Only the
+    for the swap indices; the first k slots are returned as a sorted int64
+    array, the package's form of a set (empty for k = 0). Only the
     slots a swap touched are stored, so a draw costs O(k) besides the
     sieve. Equal (t, k, seed) always produce the same subset, and
     k = phi(t) returns the whole unit group no matter the seed.
     """
-    pool = unit_array(t)
+    pool = units_of(t)
     n = len(pool)
     if k < 0:
         raise ValueError("subset size must be nonnegative")
@@ -37,7 +40,7 @@ def sample_unit_subset(t: int, k: int, seed: int) -> tuple[int, ...]:
     for i in range(k):
         j = i + rng.below(n - i)
         moved[i], moved[j] = moved.get(j, pool[j]), moved.get(i, pool[i])
-    return tuple(sorted(int(moved[i]) for i in range(k)))
+    return np.sort(np.array([moved[i] for i in range(k)], dtype=np.int64))
 
 
 def random_curve(

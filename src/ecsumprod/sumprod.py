@@ -13,11 +13,12 @@ and the quadruple count
 Every (a, b1, b2) in A x B x B injects into those quadruples via
 (b1, b2, a*b1, x(aP) + x(b2 P)), so J >= #A * (#B)^2 holds exactly.
 
-Every kernel works on sorted int64 arrays in blocks of BLOCK elements,
-sized so a block's temporaries stay in L2. The public set functions
-validate, call a kernel and return a tuple; sum_product_report validates
-A and B once and hands S, H and T from kernel to kernel as arrays, so the
-validation count_solutions repeats on them costs microseconds.
+A set is a sorted, distinct int64 array, in and out: every public set
+function validates its arguments into that form and returns it, and the
+kernels work on it in blocks of BLOCK elements, sized so a block's
+temporaries stay in L2. Validating a set that is already in that form
+costs microseconds, so sum_product_report goes through sum_set,
+product_index_set and count_solutions as any caller would.
 """
 
 import math
@@ -40,14 +41,18 @@ BLOCK = 1 << 15
 def _sorted_distinct(members) -> np.ndarray:
     """Sorted distinct integers of an iterable, as int64.
 
-    Deduplicates by sorting and masking equal neighbours (np.unique costs
-    20x more on a few thousand values). A member beyond int64 makes the
-    array one of Python ints instead, which every caller rejects.
+    Members must be Python or numpy integers: a bool, float or str member
+    raises ValueError instead of being truncated or parsed. Deduplicates
+    by sorting and masking equal neighbours (np.unique costs 20x more on a
+    few thousand values). A member beyond int64 makes the array one of
+    Python ints instead, which every caller rejects.
     """
-    if isinstance(members, np.ndarray) and not np.can_cast(members.dtype, np.int64):
-        members = members.tolist()
-    elif not isinstance(members, (list, tuple, np.ndarray)):
-        members = list(members)
+    if not (isinstance(members, np.ndarray) and members.dtype.kind in "iu"
+            and np.can_cast(members.dtype, np.int64)):
+        members = members.tolist() if isinstance(members, np.ndarray) else list(members)
+        for m in members:
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+                raise ValueError(f"set member {m!r} is not an integer")
     try:
         arr = np.sort(np.asarray(members, dtype=np.int64), axis=None)
     except OverflowError:
@@ -57,8 +62,9 @@ def _sorted_distinct(members) -> np.ndarray:
     return arr[keep]
 
 
-def _unit_array(members, t: int) -> np.ndarray:
-    """Members of a unit subset of Z_t, sorted, distinct and int64.
+def check_unit_subset(members, t: int) -> np.ndarray:
+    """Normalize an iterable of residues to a unit subset of Z_t: a sorted,
+    distinct int64 array.
 
     The smallest bad member decides the error: ValueError if it lies
     outside [1, t-1], NotAUnit if it shares a factor with t.
@@ -71,11 +77,6 @@ def _unit_array(members, t: int) -> np.ndarray:
             raise ValueError(f"set member {m} outside [1, {t - 1}]")
         raise NotAUnit(f"set member {m} is not a unit mod {t}")
     return arr
-
-
-def check_unit_subset(members, t: int) -> tuple[int, ...]:
-    """Normalize an iterable of residues to a sorted unit subset of Z_t."""
-    return tuple(_unit_array(members, t).tolist())
 
 
 def _row_blocks(n_rows: int, row_len: int):
@@ -100,23 +101,21 @@ def _x_values(table: OrbitTable, units: np.ndarray) -> np.ndarray:
     return np.flatnonzero(hit)
 
 
-def sum_set(table: OrbitTable, a_set, b_set) -> tuple[int, ...]:
+def sum_set(table: OrbitTable, a_set, b_set) -> np.ndarray:
     """All values x(aP) + x(bP) in F_p, deduplicated and sorted."""
-    xa = _x_values(table, _unit_array(a_set, table.order))
-    xb = _x_values(table, _unit_array(b_set, table.order))
-    return tuple(_distinct(table.p, xa, xb, np.add).tolist())
+    xa = _x_values(table, check_unit_subset(a_set, table.order))
+    xb = _x_values(table, check_unit_subset(b_set, table.order))
+    return _distinct(table.p, xa, xb, np.add)
 
 
-def product_index_set(a_set, b_set, t: int) -> tuple[int, ...]:
+def product_index_set(a_set, b_set, t: int) -> np.ndarray:
     """All products a*b mod t; a subset of the units since A and B are."""
-    a, b = _unit_array(a_set, t), _unit_array(b_set, t)
-    return tuple(_distinct(t, a, b, np.multiply).tolist())
+    return _distinct(t, check_unit_subset(a_set, t), check_unit_subset(b_set, t), np.multiply)
 
 
-def prod_set(table: OrbitTable, a_set, b_set) -> tuple[int, ...]:
+def prod_set(table: OrbitTable, a_set, b_set) -> np.ndarray:
     """All values x(abP), deduplicated and sorted."""
-    a, b = _unit_array(a_set, table.order), _unit_array(b_set, table.order)
-    return tuple(_x_values(table, _distinct(table.order, a, b, np.multiply)).tolist())
+    return _x_values(table, product_index_set(a_set, b_set, table.order))
 
 
 def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
@@ -133,13 +132,13 @@ def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
     each. The double sum reads c1 doubled, c1ext[u + p - v] =
     c1[(u - v) mod p], so it needs no reduction. The work is
     O(#B * #H + #B * #S + T) and the memory O(p + BLOCK), as T < 2p.
-    The arguments may be any iterables or int64 arrays. The character
+    The arguments may be any iterables of integers. The character
     route in charsum shares none of this; a pure-Python triple loop in the
     tests pins it on small instances.
     """
     t, p = table.order, table.p
-    bs = _unit_array(b_set, t)
-    hs = _unit_array(h_set, t)
+    bs = check_unit_subset(b_set, t)
+    hs = check_unit_subset(h_set, t)
     us = _sorted_distinct(sum_values)
     if not len(bs) or not len(hs) or not len(us):
         return 0
@@ -199,14 +198,13 @@ class SumProductReport:
 def sum_product_report(table: OrbitTable, a_set, b_set) -> SumProductReport:
     """Build S, H, T and J for one instance and package the comparison.
 
-    A and B are validated once; S, H and T stay int64 arrays from the set
-    kernels to the count.
+    T is read off H, so the products a*b are formed once.
     """
     t, q = table.order, table.p
-    a_set = _unit_array(a_set, t)
-    b_set = _unit_array(b_set, t)
-    s_vals = _distinct(q, _x_values(table, a_set), _x_values(table, b_set), np.add)
-    h_set = _distinct(t, a_set, b_set, np.multiply)
+    a_set = check_unit_subset(a_set, t)
+    b_set = check_unit_subset(b_set, t)
+    s_vals = sum_set(table, a_set, b_set)
+    h_set = product_index_set(a_set, b_set, t)
     t_vals = _x_values(table, h_set)
     j = count_solutions(table, b_set, h_set, s_vals)
     j_lower = len(a_set) * len(b_set) ** 2

@@ -96,7 +96,7 @@ def naive_count(table, b_set, h_set, sum_values):
     sums = set(sum_values)
     total = 0
     for b1 in b_set:
-        ib = pow(b1, -1, t)
+        ib = pow(int(b1), -1, t)
         for b2 in b_set:
             for h in h_set:
                 u = (table.xs[(h * ib) % t - 1] + table.xs[b2 - 1]) % p
@@ -136,6 +136,21 @@ def spectrum_tolerance(p, size_b, size_h, size_s):
     """
     eps = sys.float_info.epsilon
     return 16 * eps * math.ceil(math.log2(p)) * size_b ** 2 * size_h * math.sqrt(size_s)
+
+
+def oracle_units(t):
+    """The units of Z_t by gcd, ascending."""
+    return tuple(m for m in range(1, t) if math.gcd(m, t) == 1)
+
+
+def naive_units_with_x_below(table, window):
+    """Units a of Z_T with x(aP) < window, ascending."""
+    return tuple(a for a in oracle_units(table.order) if table.xs[a - 1] < window)
+
+
+def naive_product_index_set(a_set, b_set, t):
+    """Sorted distinct a*b mod t, by a Python double loop."""
+    return tuple(sorted({int(a) * int(b) % t for a in a_set for b in b_set}))
 
 
 def naive_sum_set(table, a_set, b_set):

@@ -16,10 +16,10 @@ from oracles import naive_mobius_residual
 
 def test_units_below_window(known_table):
     # xs = (0, 4, 2, 3, 3, 2, 4, 0); units of Z_9 are 1,2,4,5,7,8
-    assert units_with_x_below(known_table, 3) == (1, 8)
-    assert units_with_x_below(known_table, 1) == (1, 8)
-    assert units_with_x_below(known_table, 0) == ()
-    assert units_with_x_below(known_table, 5) == (1, 2, 4, 5, 7, 8)
+    assert units_with_x_below(known_table, 3).tolist() == [1, 8]
+    assert units_with_x_below(known_table, 1).tolist() == [1, 8]
+    assert units_with_x_below(known_table, 0).tolist() == []
+    assert units_with_x_below(known_table, 5).tolist() == [1, 2, 4, 5, 7, 8]
     with pytest.raises(ValueError):
         units_with_x_below(known_table, -1)
 

@@ -220,6 +220,15 @@ def test_hash_and_repr_build_no_t_length_object():
     assert len(text) < 1000 and peak < 64 * 1024
 
 
+def test_deepcopy_returns_the_table_itself():
+    # frozen, with a read-only array: a deep copy could never differ
+    curve, _, point, order = discover_instance(10007, 4)
+    table = build_orbit(curve, point, order)
+    twin, peak = _traced_peak(lambda: copy.deepcopy(table))
+    assert twin is table and peak < 64 * 1024
+    assert copy.deepcopy([table])[0] is table
+
+
 def test_load_orbit_holds_one_copy_of_the_body(tmp_path):
     curve, _, point, order = discover_instance(10007, 4)
     save_orbit(build_orbit(curve, point, order), tmp_path / "orbit.bin")

@@ -37,19 +37,19 @@ from oracles import (
 
 
 def test_sum_set_examples(known_table):
-    assert sum_set(known_table, [1, 2], [1, 2]) == (0, 3, 4)
-    assert sum_set(known_table, [1], [1]) == (0,)  # 2 * x(P) mod 5
-    assert sum_set(known_table, [], [1]) == ()
+    assert sum_set(known_table, [1, 2], [1, 2]).tolist() == [0, 3, 4]
+    assert sum_set(known_table, [1], [1]).tolist() == [0]  # 2 * x(P) mod 5
+    assert sum_set(known_table, [], [1]).tolist() == []
 
 
 def test_product_index_set_examples(known_table):
-    assert product_index_set([1, 2], [1, 2], 9) == (1, 2, 4)
+    assert product_index_set([1, 2], [1, 2], 9).tolist() == [1, 2, 4]
     units = set(units_of(9))
     assert set(product_index_set(units, units, 9)) <= units
 
 
 def test_prod_set_examples(known_table):
-    assert prod_set(known_table, [1, 2], [1, 2]) == (0, 3, 4)
+    assert prod_set(known_table, [1, 2], [1, 2]).tolist() == [0, 3, 4]
 
 
 def test_non_unit_rejected(known_table):
@@ -121,9 +121,9 @@ def test_swap_symmetry(known_table):
     for _ in range(20):
         a = sample_unit_subset(9, 1 + rng.below(6), rng.next_u64())
         b = sample_unit_subset(9, 1 + rng.below(6), rng.next_u64())
-        assert sum_set(known_table, a, b) == sum_set(known_table, b, a)
-        assert prod_set(known_table, a, b) == prod_set(known_table, b, a)
-        assert product_index_set(a, b, 9) == product_index_set(b, a, 9)
+        assert sum_set(known_table, a, b).tolist() == sum_set(known_table, b, a).tolist()
+        assert prod_set(known_table, a, b).tolist() == prod_set(known_table, b, a).tolist()
+        assert product_index_set(a, b, 9).tolist() == product_index_set(b, a, 9).tolist()
 
 
 _KNOWN = build_orbit(CurveParams(5, 1, 1), (0, 1), 9)
@@ -174,8 +174,8 @@ def test_kernels_match_oracles(inputs):
     for block in (sumprod_module.BLOCK, 3):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sumprod_module, "BLOCK", block)
-            assert sum_set(table, a, b) == naive_sum_set(table, a, b)
-            assert prod_set(table, a, b) == naive_prod_set(table, a, b)
+            assert sum_set(table, a, b).tolist() == list(naive_sum_set(table, a, b))
+            assert prod_set(table, a, b).tolist() == list(naive_prod_set(table, a, b))
             assert count_solutions(table, b, h, sums) == naive_count(table, b, h, sums)
             s = sum_set(table, a, b)
             hab = product_index_set(a, b, table.order)
@@ -291,9 +291,29 @@ def test_unit_validator_matches_oracle(t, kind, members, units_only):
         members = [m for m in members if 1 <= m < t and math.gcd(m, t) == 1] * 2
     got = _outcome(check_unit_subset, _container(kind, members), t)
     want = _outcome(oracle_check_unit_subset, _container(kind, members), t, NotAUnit)
+    if isinstance(got, np.ndarray):  # the valid path
+        assert got.dtype == np.int64
+        got, want = got.tolist(), list(want)
     assert got == want
-    if not (got and isinstance(got[0], type)):
-        assert all(type(m) is int for m in got)
+
+
+@pytest.mark.parametrize("members", [
+    [1.5, 2], [2.0, 4], [True, 2], [False], ["3", "4"], "34", [np.float64(2)], [None],
+    np.array([1.0, 2.0]), np.array([True, False]), np.array(["1", "2"]),
+], ids=repr)
+def test_unit_validator_rejects_non_integers(members):
+    # a float was truncated, a bool read as 0 or 1 and a str parsed
+    with pytest.raises(ValueError, match="is not an integer"):
+        check_unit_subset(members, 9)
+    with pytest.raises(ValueError, match="is not an integer"):
+        count_solutions(_KNOWN, [1, 2], [1, 2, 4], members)
+
+
+def test_unit_validator_accepts_integer_types():
+    # every numpy integer type passes the member check, not only int32 and int64
+    members = [np.int32(4), np.uint8(2), 7, np.int64(2)]
+    assert check_unit_subset(members, 9).tolist() == [2, 4, 7]
+    assert check_unit_subset(np.array([7, 1], dtype=np.uint16), 9).tolist() == [1, 7]
 
 
 @given(kernel_inputs())
@@ -327,8 +347,8 @@ def test_sample_unit_subset_matches_oracle():
     for t, k in cases:
         for _ in range(3):
             seed = rng.next_u64()
-            assert sample_unit_subset(t, k, seed) == oracle_sample_unit_subset(
-                t, k, SplitMix64(seed)), (t, k, seed)
+            assert sample_unit_subset(t, k, seed).tolist() == list(oracle_sample_unit_subset(
+                t, k, SplitMix64(seed))), (t, k, seed)
     for t, k in ((10, 5), (10, -1), (97, 97)):
         assert _outcome(sample_unit_subset, t, k, 1) == _outcome(
             oracle_sample_unit_subset, t, k, SplitMix64(1), TooLarge)

@@ -25,13 +25,13 @@ def config(**overrides):
 
 
 def test_sample_unit_subset_examples():
-    assert sample_unit_subset(9, 6, 123) == (1, 2, 4, 5, 7, 8)
-    assert sample_unit_subset(9, 0, 1) == ()
-    got = sample_unit_subset(100, 10, 7)
-    assert len(got) == 10 and got == tuple(sorted(got))
+    assert sample_unit_subset(9, 6, 123).tolist() == [1, 2, 4, 5, 7, 8]
+    assert sample_unit_subset(9, 0, 1).tolist() == []
+    got = sample_unit_subset(100, 10, 7).tolist()
+    assert len(got) == 10 and got == sorted(got)
     assert set(got) <= set(units_of(100))
-    assert sample_unit_subset(100, 10, 7) == got  # same seed, same draw
-    assert sample_unit_subset(100, 10, 8) != got  # different seed moves it
+    assert sample_unit_subset(100, 10, 7).tolist() == got  # same seed, same draw
+    assert sample_unit_subset(100, 10, 8).tolist() != got  # different seed moves it
 
 
 def test_sample_unit_subset_guards():

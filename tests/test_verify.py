@@ -119,13 +119,13 @@ def test_mobius_check_sees_a_zeroed_weight(monkeypatch, p, seed, divisor):
 @pytest.mark.parametrize("p, seed", MUTATION_INSTANCES)
 @pytest.mark.parametrize("position", [0, -1, "middle"])
 def test_mobius_check_sees_a_dropped_unit(monkeypatch, p, seed, position):
-    real_units = extremal.unit_array
+    real_units = extremal.units_of
 
     def one_unit_short(t):
         units = real_units(t)
         return np.delete(units, len(units) // 2 if position == "middle" else position)
 
-    monkeypatch.setattr(extremal, "unit_array", one_unit_short)
+    monkeypatch.setattr(extremal, "units_of", one_unit_short)
     by_name = _suite_by_name(p, seed)
     assert not by_name["mobius_identity"].ok
     assert by_name["solution_count"].ok
