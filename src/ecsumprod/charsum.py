@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CapExceeded, DomainError, TrivialCharacter
 from .orbit import OrbitTable
 from .sumprod import check_unit_subset, product_index_set, sum_set
-from .residue import inv_mod
+from .residue import inv_mod, reduce_mod
 
 # Full scans transform length-p histograms; keep them desk-sized.
 SCAN_CAP = 100_000
@@ -49,11 +49,10 @@ def histogram_sums(hist: np.ndarray, lams) -> np.ndarray:
     """sum_z hist[z] * psi_lambda(z) at each lambda, for a histogram on F_p.
 
     One pass per lambda reads the roots table on the support of hist only,
-    through reused buffers (weights cast to complex once, not per pass).
-    lambda * z mod p is taken as k - (k // p) * p: numpy divides by a scalar
-    through a precomputed reciprocal, and np.remainder does not. The
-    weighted sum is an einsum, not a BLAS dot: at p = 10^6 on 2 vCPUs the
-    threaded BLAS dot took 8 ms a pass and einsum 1 ms.
+    through reused buffers (weights cast to complex once, not per pass),
+    and reduces lambda * z mod p with reduce_mod. The weighted sum is an
+    einsum, not a BLAS dot: at p = 10^6 on 2 vCPUs the threaded BLAS dot
+    took 8 ms a pass and einsum 1 ms.
     """
     p = len(hist)
     roots = roots_of_unity(p)
@@ -64,10 +63,7 @@ def histogram_sums(hist: np.ndarray, lams) -> np.ndarray:
     lams = [lam % p for lam in lams]
     sums = np.empty(len(lams), dtype=complex)
     for i, lam in enumerate(lams):
-        np.multiply(support, lam, out=idx)
-        np.floor_divide(idx, p, out=quot)
-        quot *= p
-        idx -= quot
+        reduce_mod(np.multiply(support, lam, out=idx), p, quot)
         sums[i] = np.einsum("i,i", weights, np.take(roots, idx, out=terms))
     return sums
 

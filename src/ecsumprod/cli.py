@@ -8,6 +8,7 @@ sweep. Every run is seeded and reproducible; outputs go to stdout or
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 
@@ -31,32 +32,30 @@ from .sweep import (
 from .verify import run_identity_suite
 
 CURVE_FIELDS = ("p", "a4", "a6", "N", "t", "ordinary", "Px", "Py", "T")
-SUMPROD_FIELDS = (
-    "p", "a4", "a6", "N", "t", "T", "Px", "Py",
+INSTANCE_FIELDS = ("p", "a4", "a6", "N", "t", "T", "Px", "Py")
+SUMPROD_FIELDS = INSTANCE_FIELDS + (
     "sizeA", "sizeB", "sizeS", "sizeT", "sizeH",
     "J", "J_lower", "Delta", "thm_lhs", "thm_rhs", "ratio", "min_branch", "exponent",
 )
-CHARSUM_FIELDS = (
-    "p", "a4", "a6", "N", "t", "T", "Px", "Py", "nu",
-    "sizeK", "sizeM", "lam", "value", "rhs", "ratio",
+CHARSUM_FIELDS = INSTANCE_FIELDS + (
+    "nu", "sizeK", "sizeM", "lam", "value", "rhs", "ratio",
     "subgroup_max", "subgroup_lam", "subgroup_over_sqrt_p",
 )
-EXTREMAL_FIELDS = (
-    "p", "a4", "a6", "N", "t", "T", "Px", "Py", "H",
-    "sizeA", "sizeS", "sizeT", "bound_2h_ok", "bound_phi_ok",
+EXTREMAL_FIELDS = INSTANCE_FIELDS + (
+    "H", "sizeA", "sizeS", "sizeT", "bound_2h_ok", "bound_phi_ok",
     "ratio", "predicted_sizeA", "sizeA_over_predicted",
 )
+SET_HELP = "members split by commas or whitespace, or @file with the same"
 
 
 def parse_member_set(text):
-    """--setA/--setB values: a comma list like '1,2,4' or @file with the same."""
+    """--setA/--setB values: members split by commas or any whitespace, or @file."""
     if text is None:
         return None
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read().replace("\n", ",").replace(" ", ",")
-    members = [tok for tok in text.split(",") if tok.strip()]
-    return [int(tok) for tok in members]
+            text = fh.read()
+    return [int(tok) for tok in re.split(r"[,\s]+", text) if tok]
 
 
 def _member_set_or_units(text, flag, order):
@@ -230,15 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sumprod = sub.add_parser("sumprod", help="sum/product set report for sets A, B")
     _add_instance_args(sumprod)
-    sumprod.add_argument("--setA", default=None, help="comma list or @file (default: all units)")
-    sumprod.add_argument("--setB", default=None, help="comma list or @file (default: all units)")
+    sumprod.add_argument("--setA", default=None, help=f"{SET_HELP} (default: all units)")
+    sumprod.add_argument("--setB", default=None, help=f"{SET_HELP} (default: all units)")
     _add_output_args(sumprod)
     sumprod.set_defaults(handler=cmd_sumprod)
 
     charsum = sub.add_parser("charsum", help="bilinear character-sum scan for sets K, M")
     _add_instance_args(charsum)
-    charsum.add_argument("--setA", default=None, help="set K: comma list or @file")
-    charsum.add_argument("--setB", default=None, help="set M: comma list or @file")
+    charsum.add_argument("--setA", default=None, help=f"set K: {SET_HELP}")
+    charsum.add_argument("--setB", default=None, help=f"set M: {SET_HELP}")
     charsum.add_argument("--nu", type=int, default=1)
     _add_output_args(charsum)
     charsum.set_defaults(handler=cmd_charsum)

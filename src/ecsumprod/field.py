@@ -1,9 +1,11 @@
 """Exact arithmetic in the prime field F_p, p >= 5.
 
 Field elements are plain integers in canonical form 0 <= a < p; the modulus
-travels as an explicit argument. Everything here is pure and side-effect
-free, so tables built on top can be shared freely between workers.
+travels as an explicit argument; inverses and powers are the builtin pow.
+Everything here is pure, so tables built on top can be shared by workers.
 """
+
+import operator
 
 from .errors import CapExceeded, ZeroInverse
 
@@ -54,17 +56,11 @@ def validate_prime_modulus(p: int) -> int:
 
 
 def fp_inv(a: int, p: int) -> int:
-    """Multiplicative inverse of a mod p via the extended Euclid algorithm."""
-    a %= p
+    """Multiplicative inverse of a mod p (builtin pow); ZeroInverse on a = 0 mod p."""
+    a = operator.index(a) % p
     if a == 0:
         raise ZeroInverse(f"0 has no inverse mod {p}")
-    r0, r1 = p, a
-    s0, s1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    return s0 % p
+    return pow(a, -1, p)
 
 
 def fp_pow(a: int, e: int, p: int) -> int:

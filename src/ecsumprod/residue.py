@@ -1,4 +1,9 @@
-"""Arithmetic in the residue ring Z_T: factorization, totient, Mobius, units."""
+"""Arithmetic in Z_T: factorization, totient, Mobius, units, inverses by the
+builtin pow, and reduce_mod, the array reduction that the set, J and
+sampled-character kernels share."""
+
+import math
+import operator
 
 import numpy as np
 
@@ -62,16 +67,25 @@ def units_of(t: int) -> np.ndarray:
 
 
 def inv_mod(a: int, t: int) -> int:
-    """Inverse of a in Z_t (extended Euclid); raises NotAUnit otherwise."""
+    """Inverse of a in Z_t, a and t Python or numpy ints; raises NotAUnit otherwise."""
+    t = operator.index(t)  # the builtin pow takes no numpy ints
     if t < 2:
         raise ValueError("inv_mod needs t >= 2")
-    a %= t
-    r0, r1 = t, a
-    s0, s1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if r0 != 1:
-        raise NotAUnit(f"{a} is not invertible mod {t} (gcd {r0})")
-    return s0 % t
+    a = operator.index(a) % t
+    g = math.gcd(a, t)
+    if g != 1:
+        raise NotAUnit(f"{a} is not invertible mod {t} (gcd {g})")
+    return pow(a, -1, t)
+
+
+def reduce_mod(k: np.ndarray, n: int, quot: np.ndarray | None = None) -> np.ndarray:
+    """k mod n in place for a nonnegative int64 array k; returns k.
+
+    Taken as k - (k // n) * n: numpy divides by a scalar through a
+    precomputed reciprocal, and np.remainder does not (33 against 67 us on
+    16k elements). quot, an int64 buffer of k's shape, takes the quotient.
+    """
+    quot = np.floor_divide(k, n, out=quot)
+    quot *= n
+    k -= quot
+    return k

@@ -18,6 +18,9 @@ from .errors import TooLarge
 from .residue import units_of
 from .rng import SplitMix64
 
+MAX_TRIES = 2000  # curve draws before random_curve gives up
+SAMPLES = 30  # affine points max_order_point draws
+
 
 def sample_unit_subset(t: int, k: int, seed: int) -> np.ndarray:
     """k distinct units of Z_t, drawn by a partial Fisher-Yates shuffle.
@@ -48,7 +51,6 @@ def random_curve(
     rng: SplitMix64,
     require_ordinary: bool = True,
     cap: int = ENUMERATION_CAP,
-    max_tries: int = 2000,
 ) -> tuple[CurveParams, CurveSummary]:
     """Sample a nonsingular curve over F_p; singular draws are discarded.
 
@@ -56,7 +58,7 @@ def random_curve(
     too (the bilinear machinery needs them gone). Draw order is fixed, so
     a given rng state always yields the same curve.
     """
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         a4, a6 = rng.below(p), rng.below(p)
         if (4 * a4 * a4 * a4 + 27 * a6 * a6) % p == 0:
             continue
@@ -65,11 +67,11 @@ def random_curve(
         if require_ordinary and not summary.ordinary:
             continue
         return curve, summary
-    raise RuntimeError(f"no usable curve over F_{p} after {max_tries} draws")
+    raise RuntimeError(f"no usable curve over F_{p} after {MAX_TRIES} draws")
 
 
 def max_order_point(curve: CurveParams, n_points: int, rng: SplitMix64,
-                    samples: int = 30, cap: int = ENUMERATION_CAP):
+                    cap: int = ENUMERATION_CAP):
     """Affine point of maximal order among seeded random samples.
 
     Draws with replacement from the affine points in (x, y) order, the
@@ -84,7 +86,7 @@ def max_order_point(curve: CurveParams, n_points: int, rng: SplitMix64,
     affine = AffinePoints(curve, cap=cap)
     if not len(affine):
         raise ValueError("curve has no affine points to sample")
-    draws = [rng.below(len(affine)) for _ in range(min(samples, len(affine)) or 1)]
+    draws = [rng.below(len(affine)) for _ in range(min(SAMPLES, len(affine)) or 1)]
     best, best_order = None, 0
     for i in draws:
         candidate = affine[i]
@@ -96,10 +98,9 @@ def max_order_point(curve: CurveParams, n_points: int, rng: SplitMix64,
     return best, best_order
 
 
-def discover_instance(p: int, seed: int, require_ordinary: bool = True,
-                      cap: int = ENUMERATION_CAP):
-    """One-stop seeded instance: (curve, summary, point, order)."""
+def discover_instance(p: int, seed: int, cap: int = ENUMERATION_CAP):
+    """One-stop seeded instance on an ordinary curve: (curve, summary, point, order)."""
     rng = SplitMix64(seed)
-    curve, summary = random_curve(p, rng, require_ordinary=require_ordinary, cap=cap)
+    curve, summary = random_curve(p, rng, cap=cap)
     point, order = max_order_point(curve, summary.n_points, rng, cap=cap)
     return curve, summary, point, order

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NotAUnit
 from .orbit import OrbitTable
-from .residue import inv_mod
+from .residue import inv_mod, reduce_mod
 
 # Elements per transient block in the set and count kernels: a block's
 # int64 temporaries (256 kB each) stay in a 2 MB L2 cache. count_solutions
@@ -89,8 +89,7 @@ def _distinct(n: int, xs: np.ndarray, ys: np.ndarray, op) -> np.ndarray:
     """Sorted distinct op(x, y) mod n over xs x ys, by a hit-mask filled in blocks."""
     hit = np.zeros(n, dtype=bool)
     for rows in _row_blocks(len(xs), len(ys)):
-        k = op.outer(xs[rows], ys)
-        hit[np.remainder(k, n, out=k)] = True
+        hit[reduce_mod(op.outer(xs[rows], ys), n)] = True
     return np.flatnonzero(hit)
 
 
@@ -150,12 +149,7 @@ def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
     step = max(1, BLOCK // len(hs), -(-t // len(hs)))
     c1_t = np.zeros(t, dtype=np.int64)  # histogram of h*b1^-1 on Z_T
     for lo in range(0, len(inv_b), step):
-        k = np.multiply.outer(inv_b[lo:lo + step], hs)
-        # k mod t as k - (k // t) * t: numpy divides by a scalar through a
-        # precomputed reciprocal, and np.remainder does not
-        q = np.floor_divide(k, t)
-        q *= t
-        k -= q
+        k = reduce_mod(np.multiply.outer(inv_b[lo:lo + step], hs), t)
         c1_t += np.bincount(k.ravel(), minlength=t)
     c1 = np.zeros(p, dtype=np.int64)
     np.add.at(c1, xs, c1_t[1:])

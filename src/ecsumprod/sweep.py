@@ -36,12 +36,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-_CONFIG_KEYS = {
-    "mode", "p_list", "p_range", "curves_per_p", "sets_per_curve",
-    "set_size_rule", "nu", "master_seed", "enumeration_cap", "scan_cap",
-}
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Validated sweep parameters; see parse_config for the JSON schema."""
@@ -70,6 +64,9 @@ class SweepConfig:
         else:
             k = math.floor(value * phi)
         return max(1, min(k, phi))
+
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(SweepConfig))
 
 
 def parse_config(data: dict) -> SweepConfig:

@@ -30,6 +30,18 @@ def test_parse_member_set(tmp_path):
     assert parse_member_set("@" + str(f)) == [1, 2, 4]
 
 
+def test_member_set_file_split_on_any_whitespace(tmp_path, capsys):
+    tabs, crlf = tmp_path / "tabs.txt", tmp_path / "crlf.txt"
+    tabs.write_text("1\t2\n")
+    crlf.write_bytes(b"1,\r\n2\r\n")
+    assert parse_member_set("@" + str(tabs)) == [1, 2]
+    assert parse_member_set("@" + str(crlf)) == [1, 2]
+    from_files = run(capsys, ["sumprod", *KNOWN, "--setA", "@" + str(tabs),
+                              "--setB", "@" + str(crlf)])
+    assert from_files[0] == 0
+    assert from_files == run(capsys, ["sumprod", *KNOWN, "--setA", "1,2", "--setB", "1,2"])
+
+
 def test_curve_find_csv(capsys):
     code, out, err = run(capsys, ["curve", "find", "--p", "13", "--count", "3", "--seed", "1"])
     assert code == 0
@@ -180,11 +192,13 @@ def test_exit_two_on_non_unit_set(capsys):
 
 @pytest.mark.parametrize("command", ["sumprod", "charsum"])
 @pytest.mark.parametrize("flag", ["--setA", "--setB"])
-@pytest.mark.parametrize("source", ["empty_text", "blank_text", "empty_file"])
+@pytest.mark.parametrize("source", ["empty_text", "blank_text", "empty_file", "blank_file"])
 def test_exit_two_on_explicit_empty_set(tmp_path, capsys, command, flag, source):
     # only an absent flag means all units
-    value = {"empty_text": "", "blank_text": " , ", "empty_file": "@" + str(tmp_path / "e.txt")}
+    value = {"empty_text": "", "blank_text": " , ", "empty_file": "@" + str(tmp_path / "e.txt"),
+             "blank_file": "@" + str(tmp_path / "b.txt")}
     (tmp_path / "e.txt").write_text("\n")
+    (tmp_path / "b.txt").write_bytes(b" \t\r\n")
     code, out, err = run(capsys, [command, *KNOWN, flag, value[source]])
     assert code == 2 and out == "" and flag in err
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,8 +21,14 @@ def test_inv_examples():
 
 def test_inv_exhaustive_small_primes():
     for p in SMALL_PRIMES:
-        for a in range(1, p):
-            assert fp_inv(a, p) * a % p == 1
+        for a in range(-2 * p, 2 * p + 1):
+            if a % p == 0:
+                with pytest.raises(ZeroInverse, match=f"^0 has no inverse mod {p}$"):
+                    fp_inv(a, p)
+                continue
+            inv = fp_inv(a, p)
+            assert 0 < inv < p and inv * a % p == 1
+            assert fp_inv(np.int64(a), p) == inv
 
 
 def test_pow_examples():
