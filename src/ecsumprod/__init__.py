@@ -24,7 +24,6 @@ from .charsum import (
     histogram_sums,
     roots_of_unity,
     solutions_spectrum,
-    solutions_via_characters,
     subgroup_scan,
     subgroup_sum,
     subgroup_sums,
@@ -51,7 +50,7 @@ from .extremal import (
     mobius_identity_residuals,
     units_with_x_below,
 )
-from .field import fp_inv, fp_pow, fp_sqrt, is_prime, legendre, validate_prime_modulus
+from .field import fp_inv, fp_sqrt, is_prime, legendre, validate_prime_modulus
 from .orbit import OrbitTable, build_orbit, load_orbit, save_orbit, x_of
 from .residue import divisors, euler_phi, factorize, inv_mod, mobius, units_of
 from .rng import SplitMix64, derive_seed

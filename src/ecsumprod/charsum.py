@@ -11,7 +11,7 @@ symmetry lets one complex transform carry two real histograms, as its
 real and imaginary parts; the full scans pack their rows that way.
 
 Orthogonality, (1/p) * sum_lambda psi_lambda(z) = [z = 0], is what turns
-solution counting into the factored spectra in solutions_via_characters.
+solution counting into the factored spectra in solutions_spectrum.
 """
 
 import math
@@ -130,7 +130,7 @@ class CharSumReport:
     """Largest bilinear sum seen over a full nontrivial-character scan."""
 
     nu: int
-    lam: int  # smallest lambda attaining the max
+    lam: int  # smallest lambda attaining the max up to roundoff (_first_max)
     value: float
     rhs: float
     ratio: float
@@ -160,19 +160,35 @@ def _half_spectrum_abs(xmat: np.ndarray, p: int) -> np.ndarray:
     return total / 2
 
 
-def bilinear_ratio_scan(table: OrbitTable, k_set, m_set, nu: int,
-                        cap: int = SCAN_CAP) -> CharSumReport:
+def _first_max(vals: np.ndarray, p: int, mass: int) -> tuple[int, float]:
+    """(lambda, value) of the largest of vals[lambda - 1], lambda = 1 .. p // 2.
+
+    vals are sums of |transform| of histograms of total mass `mass` on F_p.
+    The value is the maximum itself. The lambda is the smallest one whose
+    value lies within 16 eps ceil(log2 p) mass of it, a per-entry roundoff
+    allowance for length-p FFTs of that mass (Higham, ch. 24): sums that
+    are equal exactly come out a few ulps apart. On a j = 0 curve, for one,
+    (x, y) -> (zeta x, y) with zeta^3 = 1 can permute the orbit, so lambda,
+    zeta lambda and zeta^2 lambda tie, and np.argmax alone would pick
+    whichever the roundoff favours.
+    """
+    value = float(vals.max())
+    tol = 16 * np.finfo(float).eps * math.ceil(math.log2(p)) * mass
+    return int(np.argmax(vals >= value - tol)) + 1, value
+
+
+def bilinear_ratio_scan(table: OrbitTable, k_set, m_set, nu: int) -> CharSumReport:
     """Max over every nontrivial lambda of the unit-weight bilinear sum.
 
     The inner sum for a row k is the transform of the histogram of
     x(kmP) over M; two rows share one complex FFT of length p, so the scan
     is O(#K * p log p). Only lambda in [1, (p-1)/2] is scanned: lambda and
-    p - lambda give equal sums exactly, so the smaller of the pair is the
-    one reported (np.argmax takes the first of equal values).
+    p - lambda give equal sums exactly. The reported lambda is the smallest
+    attaining the max, up to roundoff (_first_max).
     """
     t, p = table.order, table.p
-    if p > cap:
-        raise CapExceeded(f"full character scan needs p <= {cap}, got {p}")
+    if p > SCAN_CAP:
+        raise CapExceeded(f"full character scan needs p <= {SCAN_CAP}, got {p}")
     k_set = check_unit_subset(k_set, t)
     m_set = check_unit_subset(m_set, t)
     if not len(k_set) or not len(m_set):
@@ -183,9 +199,8 @@ def bilinear_ratio_scan(table: OrbitTable, k_set, m_set, nu: int,
     step = 2 * max(1, BLOCK // (36 * p))
     for start in range(0, len(k_set), step):
         vals += _half_spectrum_abs(xs[k_set[start:start + step, None] * m_set[None, :] % t - 1], p)
-    i = int(np.argmax(vals))
-    best_val = float(vals[i])
-    return CharSumReport(nu=nu, lam=i + 1, value=best_val, rhs=rhs, ratio=best_val / rhs)
+    lam, value = _first_max(vals, p, len(k_set) * len(m_set))
+    return CharSumReport(nu=nu, lam=lam, value=value, rhs=rhs, ratio=value / rhs)
 
 
 def subgroup_sums(table: OrbitTable, lams) -> np.ndarray:
@@ -211,21 +226,18 @@ class SubgroupScanReport:
     """Empirical size of the largest subgroup character sum for one curve."""
 
     max_abs: float
-    lam: int  # smallest lambda attaining the max
+    lam: int  # smallest lambda attaining the max up to roundoff (_first_max)
     max_over_sqrt_p: float  # the quantity the square-root barrier talks about
 
 
-def subgroup_scan(table: OrbitTable, cap: int = SCAN_CAP) -> SubgroupScanReport:
+def subgroup_scan(table: OrbitTable) -> SubgroupScanReport:
     """Max of |subgroup_sum| over every nontrivial lambda, from one FFT of
     the x-histogram; lambda is chosen as in bilinear_ratio_scan."""
     p = table.p
-    if p > cap:
-        raise CapExceeded(f"full character scan needs p <= {cap}, got {p}")
-    vals = _half_spectrum_abs(table.xs[None, :], p)
-    i = int(np.argmax(vals))
-    best_val = float(vals[i])
-    return SubgroupScanReport(max_abs=best_val, lam=i + 1,
-                              max_over_sqrt_p=best_val / math.sqrt(p))
+    if p > SCAN_CAP:
+        raise CapExceeded(f"full character scan needs p <= {SCAN_CAP}, got {p}")
+    lam, value = _first_max(_half_spectrum_abs(table.xs[None, :], p), p, len(table.xs))
+    return SubgroupScanReport(max_abs=value, lam=lam, max_over_sqrt_p=value / math.sqrt(p))
 
 
 def solutions_spectrum(table: OrbitTable, a_set, b_set) -> complex:
@@ -239,7 +251,7 @@ def solutions_spectrum(table: OrbitTable, a_set, b_set) -> complex:
     with S1 over the (b1, h) population, S2 over B, S3 over the sum set;
     only the u-factor enters with a minus sign. Pairing lambda with
     p - lambda conjugates every factor, so the total is real up to
-    roundoff; callers usually want solutions_via_characters.
+    roundoff, and its real part is J.
     """
     t, p = table.order, table.p
     a_set = check_unit_subset(a_set, t)
@@ -271,8 +283,3 @@ def solutions_spectrum(table: OrbitTable, a_set, b_set) -> complex:
     z *= z
     paired = z[0] * f3[0] + np.einsum("i,i", z[:0:-1], f3[1:])
     return complex((np.einsum("i,i", np.conjugate(z, out=z), f3) - paired) * 1j / (4 * p))
-
-
-def solutions_via_characters(table: OrbitTable, a_set, b_set) -> float:
-    """J evaluated through the full character expansion (real part)."""
-    return solutions_spectrum(table, a_set, b_set).real

@@ -68,20 +68,19 @@ def _member_set_or_units(text, flag, order):
     return members
 
 
-def _add_instance_args(sub, with_point=True):
+def _add_instance_args(sub):
     sub.add_argument("--p", type=int, required=True, help="field prime, >= 5")
     sub.add_argument("--a4", type=int, default=None, help="curve coefficient a4")
     sub.add_argument("--a6", type=int, default=None, help="curve coefficient a6")
-    if with_point:
-        sub.add_argument("--px", type=int, default=None, help="base point x")
-        sub.add_argument("--py", type=int, default=None, help="base point y")
+    sub.add_argument("--px", type=int, default=None, help="base point x")
+    sub.add_argument("--py", type=int, default=None, help="base point y")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for anything left unspecified (default 0)")
 
 
-def _add_output_args(sub, default_format="csv"):
+def _add_output_args(sub):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default=default_format)
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def resolve_instance(args):

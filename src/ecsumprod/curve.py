@@ -86,15 +86,12 @@ def point_neg(curve: CurveParams, point):
     return (x, (-y) % curve.p)
 
 
-def point_add(curve: CurveParams, pt1, pt2, check: bool = False):
+def point_add(curve: CurveParams, pt1, pt2):
     """Chord-tangent addition.
 
-    With check=True both inputs are validated against the curve equation
-    first; hot loops leave it off and validate at the boundary instead.
+    The inputs are not checked against the curve equation: callers
+    validate at the boundary with require_on_curve.
     """
-    if check:
-        require_on_curve(curve, pt1)
-        require_on_curve(curve, pt2)
     if pt1 is INFINITY:
         return pt2
     if pt2 is INFINITY:
@@ -114,12 +111,10 @@ def point_add(curve: CurveParams, pt1, pt2, check: bool = False):
     return (x3, y3)
 
 
-def scalar_mul(curve: CurveParams, k: int, point, check: bool = False):
+def scalar_mul(curve: CurveParams, k: int, point):
     """k*P for k >= 0 by double-and-add (left-to-right on the bits of k)."""
     if k < 0:
         raise ValueError("scalar must be nonnegative")
-    if check:
-        require_on_curve(curve, point)
     acc = INFINITY
     addend = point
     while k:
@@ -205,7 +200,7 @@ def _smaller_roots(p: int) -> np.ndarray:
     return roots
 
 
-def enumerate_points(curve: CurveParams, cap: int = ENUMERATION_CAP):
+def enumerate_points(curve: CurveParams):
     """All points of the curve, identity first, affine points by (x, y).
 
     Returns (n_points, points) where points[0] is INFINITY. Cost is O(p):
@@ -213,8 +208,8 @@ def enumerate_points(curve: CurveParams, cap: int = ENUMERATION_CAP):
     BLOCK; (x, y) and (x, p - y) come out already sorted since y < p - y.
     """
     p = curve.p
-    if p > cap:
-        raise CapExceeded(f"point enumeration needs p <= {cap}, got {p}")
+    if p > ENUMERATION_CAP:
+        raise CapExceeded(f"point enumeration needs p <= {ENUMERATION_CAP}, got {p}")
     roots = _smaller_roots(p)
     points = [INFINITY]
     append = points.append
@@ -241,10 +236,10 @@ class AffinePoints:
     reused rather than built again.
     """
 
-    def __init__(self, curve: CurveParams, cap: int = ENUMERATION_CAP):
+    def __init__(self, curve: CurveParams):
         p = curve.p
-        if p > cap:
-            raise CapExceeded(f"point enumeration needs p <= {cap}, got {p}")
+        if p > ENUMERATION_CAP:
+            raise CapExceeded(f"point enumeration needs p <= {ENUMERATION_CAP}, got {p}")
         self.curve = curve
         self._counts = _affine_counts(curve)
         self._ends = np.cumsum([self._counts[x0:x0 + BLOCK].sum(dtype=np.int64)
@@ -268,11 +263,11 @@ class AffinePoints:
         return (x, c.p - y if rank else y)
 
 
-def curve_summary(curve: CurveParams, cap: int = ENUMERATION_CAP) -> CurveSummary:
+def curve_summary(curve: CurveParams) -> CurveSummary:
     """Exhaustive group order and trace; the Hasse window is checked, not assumed."""
     p = curve.p
-    if p > cap:
-        raise CapExceeded(f"curve summary needs p <= {cap}, got {p}")
+    if p > ENUMERATION_CAP:
+        raise CapExceeded(f"curve summary needs p <= {ENUMERATION_CAP}, got {p}")
     counts = _affine_counts(curve)
     n = 1 + int(counts.sum(dtype=np.int64))
     t = p + 1 - n

@@ -63,13 +63,6 @@ def fp_inv(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
-def fp_pow(a: int, e: int, p: int) -> int:
-    """a**e mod p for e >= 0 (builtin pow, i.e. square-and-multiply)."""
-    if e < 0:
-        raise ValueError("negative exponent; invert first")
-    return pow(a % p, e, p)
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p): 0 when p | a, +1 on nonzero squares, else -1."""
     a %= p

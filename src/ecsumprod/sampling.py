@@ -6,14 +6,7 @@ pair reproduces bit-for-bit.
 
 import numpy as np
 
-from .curve import (
-    ENUMERATION_CAP,
-    AffinePoints,
-    CurveParams,
-    CurveSummary,
-    curve_summary,
-    point_order,
-)
+from .curve import AffinePoints, CurveParams, CurveSummary, curve_summary, point_order
 from .errors import TooLarge
 from .residue import units_of
 from .rng import SplitMix64
@@ -46,12 +39,8 @@ def sample_unit_subset(t: int, k: int, seed: int) -> np.ndarray:
     return np.sort(np.array([moved[i] for i in range(k)], dtype=np.int64))
 
 
-def random_curve(
-    p: int,
-    rng: SplitMix64,
-    require_ordinary: bool = True,
-    cap: int = ENUMERATION_CAP,
-) -> tuple[CurveParams, CurveSummary]:
+def random_curve(p: int, rng: SplitMix64,
+                 require_ordinary: bool = True) -> tuple[CurveParams, CurveSummary]:
     """Sample a nonsingular curve over F_p; singular draws are discarded.
 
     With require_ordinary, curves whose trace vanishes mod p are discarded
@@ -63,27 +52,26 @@ def random_curve(
         if (4 * a4 * a4 * a4 + 27 * a6 * a6) % p == 0:
             continue
         curve = CurveParams(p, a4, a6)
-        summary = curve_summary(curve, cap=cap)
+        summary = curve_summary(curve)
         if require_ordinary and not summary.ordinary:
             continue
         return curve, summary
     raise RuntimeError(f"no usable curve over F_{p} after {MAX_TRIES} draws")
 
 
-def max_order_point(curve: CurveParams, n_points: int, rng: SplitMix64,
-                    cap: int = ENUMERATION_CAP):
+def max_order_point(curve: CurveParams, n_points: int, rng: SplitMix64):
     """Affine point of maximal order among seeded random samples.
 
     Draws with replacement from the affine points in (x, y) order, the
     order of enumerate_points, and keeps the first point attaining the
     largest order seen. Returns (point, order). The points are indexed
-    through AffinePoints (p bytes, refused past cap), never listed. All
-    draws are taken before any order is computed, so the rng advances the
-    same whatever the orders; points and orders are then computed in draw
-    order up to the first point of order n_points, which no later sample
-    can beat.
+    through AffinePoints (p bytes, refused for p above
+    curve.ENUMERATION_CAP), never listed. All draws are taken before any
+    order is computed, so the rng advances the same whatever the orders;
+    points and orders are then computed in draw order up to the first
+    point of order n_points, which no later sample can beat.
     """
-    affine = AffinePoints(curve, cap=cap)
+    affine = AffinePoints(curve)
     if not len(affine):
         raise ValueError("curve has no affine points to sample")
     draws = [rng.below(len(affine)) for _ in range(min(SAMPLES, len(affine)) or 1)]
@@ -98,9 +86,9 @@ def max_order_point(curve: CurveParams, n_points: int, rng: SplitMix64,
     return best, best_order
 
 
-def discover_instance(p: int, seed: int, cap: int = ENUMERATION_CAP):
+def discover_instance(p: int, seed: int):
     """One-stop seeded instance on an ordinary curve: (curve, summary, point, order)."""
     rng = SplitMix64(seed)
-    curve, summary = random_curve(p, rng, cap=cap)
-    point, order = max_order_point(curve, summary.n_points, rng, cap=cap)
+    curve, summary = random_curve(p, rng)
+    point, order = max_order_point(curve, summary.n_points, rng)
     return curve, summary, point, order

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .charsum import SCAN_CAP, bilinear_ratio_scan
 from .curve import ENUMERATION_CAP
-from .errors import EcsumprodError
+from .errors import CapExceeded, EcsumprodError
 from .extremal import extremal_report
 from .field import is_prime
 from .orbit import build_orbit
@@ -81,8 +81,11 @@ def parse_config(data: dict) -> SweepConfig:
       set_size_rule   {"fixed": k>=1} or {"fraction": 0<f<=1}, default fraction 0.5
       nu              int >= 1, default 1
       master_seed     int in [0, 2^64), default 0
-      enumeration_cap int >= 5, default 10^7 (desk-scale point enumeration)
-      scan_cap        int >= 5, default 10^5 (full character scans)
+      enumeration_cap int in [5, 10^7], default 10^7 (point enumeration)
+      scan_cap        int in [5, 10^5], default 10^5 (full character scans)
+
+    The caps can lower the package's own caps, curve.ENUMERATION_CAP and
+    charsum.SCAN_CAP, never raise them.
     """
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
@@ -117,6 +120,12 @@ def parse_config(data: dict) -> SweepConfig:
             raise ValueError(f"{key} must be an int >= {minimum}, got {v!r}")
         return v
 
+    def _cap(key, package_cap):
+        v = _positive_int(key, package_cap, minimum=5)
+        if v > package_cap:
+            raise ValueError(f"{key} must be at most the package cap {package_cap}, got {v}")
+        return v
+
     rule_raw = data.get("set_size_rule", {"fraction": 0.5})
     if (not isinstance(rule_raw, dict) or len(rule_raw) != 1
             or next(iter(rule_raw)) not in ("fixed", "fraction")):
@@ -142,8 +151,8 @@ def parse_config(data: dict) -> SweepConfig:
         set_size_rule=(kind, float(value)),
         nu=_positive_int("nu", 1),
         master_seed=master_seed,
-        enumeration_cap=_positive_int("enumeration_cap", ENUMERATION_CAP, minimum=5),
-        scan_cap=_positive_int("scan_cap", SCAN_CAP, minimum=5),
+        enumeration_cap=_cap("enumeration_cap", ENUMERATION_CAP),
+        scan_cap=_cap("scan_cap", SCAN_CAP),
     )
 
 
@@ -231,9 +240,10 @@ def _run_experiment(config: SweepConfig, base: dict, summary, table) -> Experime
         return ExperimentRecord(**base, **sumprod_columns(rep))
 
     if config.mode == "theorem1":
+        _check_cap("full character scan", table.p, config.scan_cap)
         k_set = sample_unit_subset(table.order, k, derive_seed(seed, 1))
         m_set = sample_unit_subset(table.order, k, derive_seed(seed, 2))
-        rep = bilinear_ratio_scan(table, k_set, m_set, config.nu, cap=config.scan_cap)
+        rep = bilinear_ratio_scan(table, k_set, m_set, config.nu)
         return ExperimentRecord(
             **base,
             sizeA=len(k_set), sizeB=len(m_set),
@@ -258,6 +268,12 @@ def _run_experiment(config: SweepConfig, base: dict, summary, table) -> Experime
     )
 
 
+def _check_cap(what: str, p: int, cap: int):
+    """The sweep's budget check, made once per curve or cell before any work."""
+    if p > cap:
+        raise CapExceeded(f"{what} needs p <= {cap}, got {p}")
+
+
 def _error_column(exc: Exception) -> str:
     if not isinstance(exc, EcsumprodError):
         traceback.print_exception(exc, file=sys.stderr)
@@ -273,7 +289,9 @@ def run_sweep(config: SweepConfig) -> list[ExperimentRecord]:
     exception class, whatever the class (MemoryError included); only
     KeyboardInterrupt and SystemExit, which are not Exceptions, stop the
     sweep. An exception from outside the package is unexpected, so its
-    traceback also goes to stderr.
+    traceback also goes to stderr. A p above config.enumeration_cap fails
+    its curves before any draw, and one above config.scan_cap fails each
+    theorem1 cell before its sets are drawn, both with CapExceeded.
     """
     records = []
     exp_id = 0
@@ -281,8 +299,9 @@ def run_sweep(config: SweepConfig) -> list[ExperimentRecord]:
         for c_idx in range(config.curves_per_p):
             prep_error = ""
             try:
-                curve, summary, point, order = discover_instance(
-                    p, derive_seed(config.master_seed, p, c_idx), cap=config.enumeration_cap)
+                seed = derive_seed(config.master_seed, p, c_idx)
+                _check_cap("point enumeration", p, config.enumeration_cap)
+                curve, summary, point, order = discover_instance(p, seed)
                 table = build_orbit(curve, point, order)
                 columns = instance_columns(curve, summary, point, order)
             except Exception as exc:
@@ -336,12 +355,9 @@ def records_from_json(text: str) -> list[ExperimentRecord]:
     return [ExperimentRecord(**row) for row in json.loads(text)]
 
 
-def emit(records, fmt: str, out=None, field_names=RECORD_FIELDS) -> str:
-    """Serialize records ('csv' or 'json') and write them to out.
-
-    out may be None / '-' for stdout, a path, or a file-like object.
-    Returns the rendered text either way.
-    """
+def emit(records, fmt: str, out=None, field_names=RECORD_FIELDS):
+    """Serialize records ('csv' or 'json') and write them to out, a path,
+    or stdout when out is None or '-'."""
     if fmt == "csv":
         text = render_csv(records, field_names)
     elif fmt == "json":
@@ -350,9 +366,6 @@ def emit(records, fmt: str, out=None, field_names=RECORD_FIELDS) -> str:
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     if out is None or out == "-":
         sys.stdout.write(text)
-    elif hasattr(out, "write"):
-        out.write(text)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    return text

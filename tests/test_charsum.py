@@ -18,11 +18,12 @@ from ecsumprod import (
     bilinear_sum_bound,
     build_orbit,
     count_solutions,
+    curve_summary,
     histogram_sums,
+    is_prime,
     product_index_set,
     roots_of_unity,
     solutions_spectrum,
-    solutions_via_characters,
     subgroup_scan,
     subgroup_sum,
     subgroup_sums,
@@ -30,7 +31,7 @@ from ecsumprod import (
 )
 from ecsumprod.residue import euler_phi, units_of
 from ecsumprod.rng import SplitMix64
-from ecsumprod.sampling import discover_instance, sample_unit_subset
+from ecsumprod.sampling import discover_instance, max_order_point, sample_unit_subset
 from oracles import naive_bilinear, naive_subgroup_sum, spectrum_tolerance
 
 UNITS9 = units_of(9)
@@ -174,11 +175,12 @@ def test_scan_deterministic(known_table):
     assert a == b
 
 
-def test_scan_guards(known_table):
-    with pytest.raises(CapExceeded):
-        bilinear_ratio_scan(known_table, UNITS9, UNITS9, nu=1, cap=3)
+def test_scan_guards(known_table, monkeypatch):
     with pytest.raises(DomainError):
         bilinear_ratio_scan(known_table, [], UNITS9, nu=1)
+    monkeypatch.setattr(charsum_module, "SCAN_CAP", 3)
+    with pytest.raises(CapExceeded):
+        bilinear_ratio_scan(known_table, UNITS9, UNITS9, nu=1)
 
 
 def test_subgroup_sum_known(known_table):
@@ -212,27 +214,28 @@ def test_subgroup_sum_size_bound():
             assert abs(subgroup_sum(table, lam)) <= order - 1 + 1e-9
 
 
-def test_subgroup_scan_known(known_table):
+def test_subgroup_scan_known(known_table, monkeypatch):
     rep = subgroup_scan(known_table)
     assert rep.max_abs == pytest.approx(2.0000000000000004)
     assert rep.max_over_sqrt_p == pytest.approx(rep.max_abs / math.sqrt(5))
     want = max(abs(naive_subgroup_sum(known_table, lam)) for lam in range(1, 5))
     assert rep.max_abs == pytest.approx(want, abs=1e-9)
     assert abs(subgroup_sum(known_table, rep.lam)) == pytest.approx(rep.max_abs)
+    monkeypatch.setattr(charsum_module, "SCAN_CAP", 3)
     with pytest.raises(CapExceeded):
-        subgroup_scan(known_table, cap=3)
+        subgroup_scan(known_table)
 
 
 def test_solutions_worked_instance(known_table):
     val = solutions_spectrum(known_table, [1, 2], [1, 2])
     assert val.real == pytest.approx(10.0, abs=1e-9)
     assert abs(val.imag) < 1e-9
-    assert solutions_via_characters(known_table, [1, 2], [1, 2]) == pytest.approx(10.0)
+    assert solutions_spectrum(known_table, [1, 2], [1, 2]).real == pytest.approx(10.0)
 
 
 def test_solutions_empty(known_table):
     assert solutions_spectrum(known_table, [], [1]) == 0j
-    assert solutions_via_characters(known_table, [1], []) == 0.0
+    assert solutions_spectrum(known_table, [1], []).real == 0.0
 
 
 def test_solutions_match_count():
@@ -307,6 +310,73 @@ def test_subgroup_scan_matches_full_lambda_oracle():
         assert 1 <= rep.lam <= (p - 1) // 2
         assert rep.max_abs == pytest.approx(max(naive), abs=1e-9)
         assert naive[rep.lam - 1] == pytest.approx(rep.max_abs, abs=1e-9)
+
+
+def _j0_tables(primes):
+    """(table, zeta) on y^2 = x^3 + a6, a6 = 1..5, with the base point that
+    `ecsumprod charsum --seed 0` picks, where zeta^3 = 1 mod p and the orbit's
+    x-values are stable under x -> zeta x. There (x, y) -> (zeta x, y) maps
+    the orbit onto itself, so |sum| at lambda, zeta lambda and zeta^2 lambda
+    are exactly equal."""
+    for p in primes:
+        zeta = next(z for z in (pow(g, (p - 1) // 3, p) for g in range(2, p)) if z != 1)
+        for a6 in range(1, 6):
+            curve = CurveParams(p, 0, a6)
+            point, order = max_order_point(curve, curve_summary(curve).n_points, SplitMix64(0))
+            table = build_orbit(curve, point, order)
+            if np.array_equal(np.sort(table.xs), np.sort(table.xs * zeta % p)):
+                yield table, zeta
+
+
+def _exact_tie_lambda(values, p, zeta):
+    """Smallest lambda of the best exact-tie class {+-zeta^i lambda}, and
+    the gap to the next class. values[lam - 1] for lam = 1 .. p // 2; a
+    class's value is the mean over its members, which the symmetry makes
+    equal, so no roundoff decides which member is reported."""
+    classes, seen = [], set()
+    for lam in range(1, p // 2 + 1):
+        if lam not in seen:
+            members = {min(m, p - m) for m in (lam, lam * zeta % p, lam * zeta * zeta % p)}
+            seen |= members
+            tied = [values[m - 1] for m in members]
+            assert max(tied) - min(tied) < 1e-9 * max(tied)
+            classes.append((float(np.mean(tied)), min(members)))
+    classes.sort(reverse=True)
+    gap = classes[0][0] - classes[1][0] if len(classes) > 1 else math.inf
+    return classes[0][1], gap
+
+
+def _abs_character_sums(xs, p):
+    """|sum over x in xs of psi_lambda(x)| for lambda = 1 .. p // 2, by numpy exp."""
+    lams = np.arange(1, p // 2 + 1)
+    return np.abs(np.exp(2j * np.pi * (np.outer(lams, xs) % p) / p).sum(axis=1))
+
+
+def test_subgroup_scan_reports_the_smallest_tied_lambda():
+    # `ecsumprod charsum --p 103 --a4 0 --a6 4 --seed 0`: lambda = 2, 9, 11
+    # (lambda * {1, 46, 56} mod 103, folded) tie exactly; argmax picked 11
+    (table, zeta), = [(t, z) for t, z in _j0_tables([103]) if t.a6 == 4]
+    assert (table.order, table.px, table.py) == (111, 39, 60)
+    rep = subgroup_scan(table)
+    assert rep.lam == 2
+    assert _exact_tie_lambda(_abs_character_sums(table.xs, 103), 103, zeta)[0] == 2
+    assert rep.max_abs == charsum_module._half_spectrum_abs(table.xs[None, :], 103).max()
+
+
+def test_scans_report_the_smallest_tied_lambda_on_j0_curves():
+    checked = 0
+    for table, zeta in _j0_tables([p for p in range(13, 400) if p % 3 == 1 and is_prime(p)]):
+        p, units = table.p, units_of(table.order)
+        sub_want, sub_gap = _exact_tie_lambda(_abs_character_sums(table.xs, p), p, zeta)
+        # with K = M = the units, the bilinear sum is phi(T) |sum over units|
+        bil_want, bil_gap = _exact_tie_lambda(
+            len(units) * _abs_character_sums(table.xs[units - 1], p), p, zeta)
+        if min(sub_gap / table.order, bil_gap / len(units) ** 2) < 1e-9:
+            continue  # two classes nearly tie by coincidence: no exact answer
+        assert subgroup_scan(table).lam == sub_want
+        assert bilinear_ratio_scan(table, units, units, nu=1).lam == bil_want
+        checked += 1
+    assert checked >= 60
 
 
 # discover_instance picks of odd order (101: T = 111, 1009: T = 1011) and

@@ -174,6 +174,14 @@ def test_exit_two_on_bad_config(tmp_path, capsys):
     assert code == 2 and "unknown config keys" in err
 
 
+@pytest.mark.parametrize("key, value", [("enumeration_cap", 10**7 + 1), ("scan_cap", 10**5 + 1)])
+def test_exit_two_on_cap_above_the_package_cap(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cap.json"
+    cfg.write_text(json.dumps({"mode": "theorem1", "p_list": [5], key: value}))
+    code, out, err = run(capsys, ["sweep", "--config", str(cfg)])
+    assert code == 2 and f"{key} must be at most the package cap" in err and out == ""
+
+
 def test_exit_two_on_composite_p(capsys):
     code, out, err = run(capsys, ["verify", "--p", "9"])
     assert code == 2 and "error:" in err

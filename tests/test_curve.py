@@ -21,6 +21,7 @@ from ecsumprod import (
     point_order,
     scalar_mul,
 )
+from ecsumprod.curve import require_on_curve
 from ecsumprod.rng import SplitMix64
 import ecsumprod.sampling as sampling_module
 from ecsumprod.sampling import discover_instance, max_order_point, random_curve
@@ -77,16 +78,16 @@ def test_singular_rejected():
 def test_off_curve_checked(known_curve):
     assert not is_on_curve(known_curve, (1, 1))
     with pytest.raises(NotOnCurve):
-        point_add(known_curve, (1, 1), (0, 1), check=True)
-    with pytest.raises(NotOnCurve):
-        scalar_mul(known_curve, 2, (1, 1), check=True)
+        require_on_curve(known_curve, (1, 1))
+    assert require_on_curve(known_curve, (0, 1)) == (0, 1)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(curve_module, "ENUMERATION_CAP", 50)
     with pytest.raises(CapExceeded):
-        enumerate_points(CurveParams(101, 1, 1), cap=50)
+        enumerate_points(CurveParams(101, 1, 1))
     with pytest.raises(CapExceeded):
-        curve_summary(CurveParams(101, 1, 1), cap=50)
+        curve_summary(CurveParams(101, 1, 1))
 
 
 def test_negative_scalar_rejected(known_curve):
@@ -210,11 +211,12 @@ def test_affine_points_match_enumeration(monkeypatch, p, block):
     assert tried >= 5
 
 
-def test_affine_points_cap():
+def test_affine_points_cap(monkeypatch):
+    monkeypatch.setattr(curve_module, "ENUMERATION_CAP", 50)
     with pytest.raises(CapExceeded, match="point enumeration needs p <= 50, got 101"):
-        AffinePoints(CurveParams(101, 1, 1), cap=50)
+        AffinePoints(CurveParams(101, 1, 1))
     with pytest.raises(CapExceeded):
-        max_order_point(CurveParams(101, 1, 1), 105, SplitMix64(0), cap=50)
+        max_order_point(CurveParams(101, 1, 1), 105, SplitMix64(0))
 
 
 def test_max_order_point_lists_no_points(monkeypatch):
@@ -254,9 +256,9 @@ def test_discover_instance_tabulates_each_curve_once(monkeypatch, p, seed):
         tabulated.append(q)
         return real_roots(q)
 
-    def counting_summary(curve, cap=curve_module.ENUMERATION_CAP):
+    def counting_summary(curve):
         summarised.append(curve)
-        return real_summary(curve, cap=cap)
+        return real_summary(curve)
 
     monkeypatch.setattr(curve_module, "_root_counts", counting_roots)
     monkeypatch.setattr(sampling_module, "curve_summary", counting_summary)

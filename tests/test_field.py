@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import SMALL_PRIMES
-from ecsumprod import CapExceeded, ZeroInverse, fp_inv, fp_pow, fp_sqrt, is_prime, legendre
+from ecsumprod import CapExceeded, ZeroInverse, fp_inv, fp_sqrt, is_prime, legendre
 from ecsumprod.field import MODULUS_CAP, validate_prime_modulus
 from oracles import oracle_squares
 
@@ -29,19 +27,6 @@ def test_inv_exhaustive_small_primes():
             inv = fp_inv(a, p)
             assert 0 < inv < p and inv * a % p == 1
             assert fp_inv(np.int64(a), p) == inv
-
-
-def test_pow_examples():
-    assert fp_pow(2, 3, 5) == 3
-    assert fp_pow(7, 0, 5) == 1
-    assert fp_pow(0, 4, 5) == 0
-    with pytest.raises(ValueError):
-        fp_pow(2, -1, 5)
-
-
-@given(st.sampled_from(SMALL_PRIMES), st.integers(0, 1000), st.integers(0, 60), st.integers(0, 60))
-def test_pow_additivity(p, a, e1, e2):
-    assert fp_pow(a, e1 + e2, p) == fp_pow(a, e1, p) * fp_pow(a, e2, p) % p
 
 
 def test_legendre_examples():

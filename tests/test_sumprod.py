@@ -17,7 +17,7 @@ from ecsumprod import (
     prod_set,
     product_index_set,
     run_sweep,
-    solutions_via_characters,
+    solutions_spectrum,
     sum_product_report,
     sum_set,
 )
@@ -197,7 +197,7 @@ def test_count_solutions_memory_at_p_50021():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert j >= 200 * 200 ** 2
-    assert j == round(solutions_via_characters(table, a, b))
+    assert j == round(solutions_spectrum(table, a, b).real)
 
 
 def test_count_solutions_tally_passes_stay_few(monkeypatch):

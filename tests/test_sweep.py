@@ -51,6 +51,7 @@ def test_parse_config_defaults():
     assert cfg.set_size_rule == ("fraction", 0.5)
     assert cfg.nu == 1
     assert cfg.master_seed == 42
+    assert (cfg.enumeration_cap, cfg.scan_cap) == (10**7, 10**5)  # the package caps
 
 
 def test_parse_config_rejections():
@@ -76,6 +77,8 @@ def test_parse_config_rejections():
         {**BASE, "master_seed": True},
         {**BASE, "nu": 0},
         {**BASE, "enumeration_cap": 4},
+        {**BASE, "enumeration_cap": 10**7 + 1},  # config caps only lower the package caps
+        {**BASE, "scan_cap": 10**5 + 1},
         "not a dict",
     ]
     for data in bad:
@@ -158,6 +161,36 @@ def test_sweep_crash_isolation():
     assert rows[0].a4 is None
     assert rows[1].p == 5 and rows[1].error == ""
     assert [r.experiment_id for r in rows] == [0, 1]
+
+
+def test_capped_curve_fails_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise RuntimeError("random_curve was called")
+
+    seeds = []
+    derive_seed = sweep_module.derive_seed
+
+    def recording_derive_seed(*args):
+        seeds.append(args)
+        return derive_seed(*args)
+
+    monkeypatch.setattr(sampling_module, "random_curve", no_draw)
+    monkeypatch.setattr(sweep_module, "derive_seed", recording_derive_seed)
+    rows = run_sweep(config(p_list=[101], sets_per_curve=2, enumeration_cap=50))
+    assert [(r.p, r.error) for r in rows] == [(101, "CapExceeded")] * 2
+    # the curve's seed is derived before the check, as the benchmark's
+    # cell marker expects
+    assert seeds[0] == (42, 101, 0)
+
+
+def test_capped_scan_fails_before_any_set_is_drawn(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise RuntimeError("sample_unit_subset was called")
+
+    monkeypatch.setattr(sweep_module, "sample_unit_subset", no_draw)
+    rows = run_sweep(config(mode="theorem1", p_list=[101, 5], scan_cap=50))
+    assert [(r.p, r.error) for r in rows] == [(101, "CapExceeded"), (5, "RuntimeError")]
+    assert rows[0].a4 is not None and rows[0].thm_lhs is None
 
 
 def test_sweep_prep_failure_of_any_class(monkeypatch, capsys):
