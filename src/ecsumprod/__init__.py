@@ -11,7 +11,6 @@ from .curve import (
     enumerate_points,
     is_on_curve,
     point_add,
-    point_neg,
     point_order,
     scalar_mul,
 )
@@ -32,7 +31,6 @@ from .errors import (
     CapExceeded,
     DomainError,
     EcsumprodError,
-    EmptyConstruction,
     IdentityHasNoX,
     InvariantViolation,
     NotAUnit,
@@ -70,7 +68,6 @@ from .sweep import (
     emit,
     load_config,
     parse_config,
-    records_from_json,
     render_csv,
     render_json,
     run_sweep,

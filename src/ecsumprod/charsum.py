@@ -20,9 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError, TrivialCharacter
+from .errors import DomainError, TrivialCharacter, check_cap
 from .orbit import OrbitTable
-from .sumprod import check_unit_subset, product_index_set, sum_set
+from .sumprod import check_unit_subset, solution_inputs
 from .residue import inv_mod, reduce_mod
 
 # Full scans transform length-p histograms; keep them desk-sized.
@@ -160,21 +160,26 @@ def _half_spectrum_abs(xmat: np.ndarray, p: int) -> np.ndarray:
     return total / 2
 
 
+def _fft_roundoff(p: int, mass: float) -> float:
+    """16 eps ceil(log2 p) mass: the roundoff allowed in a value built from
+    length-p FFTs whose inputs' norms multiply to mass (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 24)."""
+    return 16 * np.finfo(float).eps * math.ceil(math.log2(p)) * mass
+
+
 def _first_max(vals: np.ndarray, p: int, mass: int) -> tuple[int, float]:
     """(lambda, value) of the largest of vals[lambda - 1], lambda = 1 .. p // 2.
 
     vals are sums of |transform| of histograms of total mass `mass` on F_p.
     The value is the maximum itself. The lambda is the smallest one whose
-    value lies within 16 eps ceil(log2 p) mass of it, a per-entry roundoff
-    allowance for length-p FFTs of that mass (Higham, ch. 24): sums that
-    are equal exactly come out a few ulps apart. On a j = 0 curve, for one,
+    value lies within _fft_roundoff(p, mass) of it: sums that are equal
+    exactly come out a few ulps apart. On a j = 0 curve, for one,
     (x, y) -> (zeta x, y) with zeta^3 = 1 can permute the orbit, so lambda,
     zeta lambda and zeta^2 lambda tie, and np.argmax alone would pick
     whichever the roundoff favours.
     """
     value = float(vals.max())
-    tol = 16 * np.finfo(float).eps * math.ceil(math.log2(p)) * mass
-    return int(np.argmax(vals >= value - tol)) + 1, value
+    return int(np.argmax(vals >= value - _fft_roundoff(p, mass))) + 1, value
 
 
 def bilinear_ratio_scan(table: OrbitTable, k_set, m_set, nu: int) -> CharSumReport:
@@ -187,8 +192,7 @@ def bilinear_ratio_scan(table: OrbitTable, k_set, m_set, nu: int) -> CharSumRepo
     attaining the max, up to roundoff (_first_max).
     """
     t, p = table.order, table.p
-    if p > SCAN_CAP:
-        raise CapExceeded(f"full character scan needs p <= {SCAN_CAP}, got {p}")
+    check_cap("full character scan", p, SCAN_CAP)
     k_set = check_unit_subset(k_set, t)
     m_set = check_unit_subset(m_set, t)
     if not len(k_set) or not len(m_set):
@@ -234,42 +238,40 @@ def subgroup_scan(table: OrbitTable) -> SubgroupScanReport:
     """Max of |subgroup_sum| over every nontrivial lambda, from one FFT of
     the x-histogram; lambda is chosen as in bilinear_ratio_scan."""
     p = table.p
-    if p > SCAN_CAP:
-        raise CapExceeded(f"full character scan needs p <= {SCAN_CAP}, got {p}")
+    check_cap("full character scan", p, SCAN_CAP)
     lam, value = _first_max(_half_spectrum_abs(table.xs[None, :], p), p, len(table.xs))
     return SubgroupScanReport(max_abs=value, lam=lam, max_over_sqrt_p=value / math.sqrt(p))
 
 
-def solutions_spectrum(table: OrbitTable, a_set, b_set) -> complex:
-    """The character-expansion value of the quadruple count J.
+def solutions_spectrum(table: OrbitTable, b_set, h_set, sum_values) -> complex:
+    """The character-expansion value of J, from count_solutions' inputs.
 
     Expanding the indicator of x(h b1^-1 P) + x(b2 P) - u = 0 through
     orthogonality factors J into three spectra:
 
         J = (1/p) * sum_lambda S1(lam) * S2(lam) * conj(S3(lam))
 
-    with S1 over the (b1, h) population, S2 over B, S3 over the sum set;
-    only the u-factor enters with a minus sign. Pairing lambda with
-    p - lambda conjugates every factor, so the total is real up to
-    roundoff, and its real part is J.
+    with S1 over the (b1, h) population, S2 over B, S3 over S; only the
+    u-factor enters with a minus sign. Pairing lambda with p - lambda
+    conjugates every factor, so the total is real up to roundoff, and its
+    real part is J. Only the input check, solution_inputs, is shared.
     """
-    t, p = table.order, table.p
-    a_set = check_unit_subset(a_set, t)
-    b_set = check_unit_subset(b_set, t)
-    if not len(a_set) or not len(b_set):
+    inputs = solution_inputs(table, b_set, h_set, sum_values)
+    if inputs is None:
         return 0j
+    bs, hs, us = inputs
+    t, p = table.order, table.p
     xs = table.xs
-    hs = product_index_set(a_set, b_set, t)
     # How often each k = h * b1^-1 occurs over B x H, tallied on Z_T one b1
     # at a time (for fixed b1 the k are distinct), then moved to x(kP).
     pop = np.zeros(t, dtype=np.int64)
-    for b in b_set.tolist():
+    for b in bs.tolist():
         pop[hs * inv_mod(b, t) % t] += 1
     # Two complex rows carry the three real histograms: h1 + i*h2 and h3.
     rows = np.zeros((2, p), dtype=complex)
     rows[0].real = np.bincount(xs, weights=pop[1:], minlength=p)
-    rows[0].imag = np.bincount(xs[b_set - 1], minlength=p)
-    rows[1, sum_set(table, a_set, b_set)] = 1.0
+    rows[0].imag = np.bincount(xs[bs - 1], minlength=p)
+    rows[1, us] = 1.0
     # One call for both: pocketfft plans a prime length afresh on every
     # call, and the plan costs more than a transform.
     z, f3 = np.fft.fft(rows, axis=1)

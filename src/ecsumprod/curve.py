@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceeded, InvariantViolation, NotOnCurve, OrderNotDividing
+from .errors import InvariantViolation, NotOnCurve, OrderNotDividing, check_cap
 from .field import fp_inv, fp_sqrt, validate_prime_modulus
 from .residue import factorize
 
@@ -76,14 +76,6 @@ def require_on_curve(curve: CurveParams, point):
     if not is_on_curve(curve, point):
         raise NotOnCurve(f"{point} does not satisfy the equation of {curve}")
     return point
-
-
-def point_neg(curve: CurveParams, point):
-    """Group inverse: reflect across the x-axis."""
-    if point is INFINITY:
-        return INFINITY
-    x, y = point
-    return (x, (-y) % curve.p)
 
 
 def point_add(curve: CurveParams, pt1, pt2):
@@ -208,8 +200,7 @@ def enumerate_points(curve: CurveParams):
     BLOCK; (x, y) and (x, p - y) come out already sorted since y < p - y.
     """
     p = curve.p
-    if p > ENUMERATION_CAP:
-        raise CapExceeded(f"point enumeration needs p <= {ENUMERATION_CAP}, got {p}")
+    check_cap("point enumeration", p, ENUMERATION_CAP)
     roots = _smaller_roots(p)
     points = [INFINITY]
     append = points.append
@@ -224,8 +215,8 @@ def enumerate_points(curve: CurveParams):
 
 
 class AffinePoints:
-    """The affine points of a curve in the (x, y) order of enumerate_points,
-    indexed without building the list.
+    """The affine points of a curve, x ascending and over each x the smaller
+    square root y of f(x) before p - y, indexed without building the list.
 
     Holds the uint8 point count of every x (p bytes) and the running totals
     of its blocks of BLOCK counts. Point i lies in the first block whose
@@ -238,8 +229,7 @@ class AffinePoints:
 
     def __init__(self, curve: CurveParams):
         p = curve.p
-        if p > ENUMERATION_CAP:
-            raise CapExceeded(f"point enumeration needs p <= {ENUMERATION_CAP}, got {p}")
+        check_cap("point enumeration", p, ENUMERATION_CAP)
         self.curve = curve
         self._counts = _affine_counts(curve)
         self._ends = np.cumsum([self._counts[x0:x0 + BLOCK].sum(dtype=np.int64)
@@ -266,8 +256,7 @@ class AffinePoints:
 def curve_summary(curve: CurveParams) -> CurveSummary:
     """Exhaustive group order and trace; the Hasse window is checked, not assumed."""
     p = curve.p
-    if p > ENUMERATION_CAP:
-        raise CapExceeded(f"curve summary needs p <= {ENUMERATION_CAP}, got {p}")
+    check_cap("curve summary", p, ENUMERATION_CAP)
     counts = _affine_counts(curve)
     n = 1 + int(counts.sum(dtype=np.int64))
     t = p + 1 - n

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the cap guard that raises one."""
 
 
 class EcsumprodError(Exception):
@@ -19,6 +19,13 @@ class NotOnCurve(EcsumprodError):
 
 class CapExceeded(EcsumprodError):
     """Requested computation is above a desk-scale cap."""
+
+
+def check_cap(what: str, p: int, cap: int):
+    """The one cap guard: CapExceeded for work over F_p with p above cap,
+    made before any allocation."""
+    if p > cap:
+        raise CapExceeded(f"{what} needs p <= {cap}, got {p}")
 
 
 class OrderNotDividing(EcsumprodError):
@@ -43,10 +50,6 @@ class DomainError(EcsumprodError):
 
 class TooLarge(EcsumprodError):
     """Requested sample size exceeds the available population."""
-
-
-class EmptyConstruction(EcsumprodError):
-    """A constructed set came out empty where members were required."""
 
 
 class InvariantViolation(EcsumprodError):

@@ -62,9 +62,9 @@ def random_curve(p: int, rng: SplitMix64,
 def max_order_point(curve: CurveParams, n_points: int, rng: SplitMix64):
     """Affine point of maximal order among seeded random samples.
 
-    Draws with replacement from the affine points in (x, y) order, the
-    order of enumerate_points, and keeps the first point attaining the
-    largest order seen. Returns (point, order). The points are indexed
+    Draws with replacement from the affine points, ordered by x ascending
+    and over each x with the smaller root y of f(x) before p - y, and keeps
+    the first point attaining the largest order seen. Returns (point, order). The points are indexed
     through AffinePoints (p bytes, refused for p above
     curve.ENUMERATION_CAP), never listed. All draws are taken before any
     order is computed, so the rng advances the same whatever the orders;

@@ -117,6 +117,22 @@ def prod_set(table: OrbitTable, a_set, b_set) -> np.ndarray:
     return _x_values(table, product_index_set(a_set, b_set, table.order))
 
 
+def solution_inputs(table: OrbitTable, b_set, h_set, sum_values):
+    """The one input check of both J routes, count_solutions and
+    charsum.solutions_spectrum: B and H unit subsets of Z_T and S distinct
+    residues in [0, p), any iterables of integers, as sorted int64 arrays;
+    None if any is empty (J = 0), before S's range is checked."""
+    t, p = table.order, table.p
+    bs = check_unit_subset(b_set, t)
+    hs = check_unit_subset(h_set, t)
+    us = _sorted_distinct(sum_values)
+    if not len(bs) or not len(hs) or not len(us):
+        return None
+    if us[0] < 0 or us[-1] >= p:
+        raise ValueError("sum values must be canonical residues mod p")
+    return bs, hs, us
+
+
 def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
     """Exact quadruple count J over B x B x H x S, in integers only.
 
@@ -131,18 +147,15 @@ def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
     each. The double sum reads c1 doubled, c1ext[u + p - v] =
     c1[(u - v) mod p], so it needs no reduction. The work is
     O(#B * #H + #B * #S + T) and the memory O(p + BLOCK), as T < 2p.
-    The arguments may be any iterables of integers. The character
-    route in charsum shares none of this; a pure-Python triple loop in the
-    tests pins it on small instances.
+    The character route in charsum shares only the input check,
+    solution_inputs; a pure-Python triple loop in the tests pins this
+    count on small instances.
     """
-    t, p = table.order, table.p
-    bs = check_unit_subset(b_set, t)
-    hs = check_unit_subset(h_set, t)
-    us = _sorted_distinct(sum_values)
-    if not len(bs) or not len(hs) or not len(us):
+    inputs = solution_inputs(table, b_set, h_set, sum_values)
+    if inputs is None:
         return 0
-    if us[0] < 0 or us[-1] >= p:
-        raise ValueError("sum values must be canonical residues mod p")
+    bs, hs, us = inputs
+    t, p = table.order, table.p
     xs = table.xs
     inv_b = np.array([inv_mod(b, t) for b in bs.tolist()], dtype=np.int64)
     # rows per block: L2-sized, but at least T indices per length-T bincount

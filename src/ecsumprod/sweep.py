@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .charsum import SCAN_CAP, bilinear_ratio_scan
 from .curve import ENUMERATION_CAP
-from .errors import CapExceeded, EcsumprodError
+from .errors import EcsumprodError, check_cap
 from .extremal import extremal_report
 from .field import is_prime
 from .orbit import build_orbit
@@ -240,7 +240,7 @@ def _run_experiment(config: SweepConfig, base: dict, summary, table) -> Experime
         return ExperimentRecord(**base, **sumprod_columns(rep))
 
     if config.mode == "theorem1":
-        _check_cap("full character scan", table.p, config.scan_cap)
+        check_cap("full character scan", table.p, config.scan_cap)
         k_set = sample_unit_subset(table.order, k, derive_seed(seed, 1))
         m_set = sample_unit_subset(table.order, k, derive_seed(seed, 2))
         rep = bilinear_ratio_scan(table, k_set, m_set, config.nu)
@@ -256,6 +256,7 @@ def _run_experiment(config: SweepConfig, base: dict, summary, table) -> Experime
         return ExperimentRecord(
             **base, **extremal_columns(rep),
             sizeB=rep.size_a, thm_lhs=float(max(rep.size_s, rep.size_t)), thm_rhs=thm_rhs,
+            # An empty window is a result, not a failure: no class backs it.
             error="" if rep.size_a else "EmptyConstruction",
         )
 
@@ -266,12 +267,6 @@ def _run_experiment(config: SweepConfig, base: dict, summary, table) -> Experime
         **base,
         error="IdentityViolation:" + ",".join(failed) if failed else "",
     )
-
-
-def _check_cap(what: str, p: int, cap: int):
-    """The sweep's budget check, made once per curve or cell before any work."""
-    if p > cap:
-        raise CapExceeded(f"{what} needs p <= {cap}, got {p}")
 
 
 def _error_column(exc: Exception) -> str:
@@ -300,7 +295,7 @@ def run_sweep(config: SweepConfig) -> list[ExperimentRecord]:
             prep_error = ""
             try:
                 seed = derive_seed(config.master_seed, p, c_idx)
-                _check_cap("point enumeration", p, config.enumeration_cap)
+                check_cap("point enumeration", p, config.enumeration_cap)
                 curve, summary, point, order = discover_instance(p, seed)
                 table = build_orbit(curve, point, order)
                 columns = instance_columns(curve, summary, point, order)
@@ -348,11 +343,6 @@ def render_json(records, field_names=RECORD_FIELDS) -> str:
         row = rec if isinstance(rec, dict) else asdict(rec)
         rows.append({name: row[name] for name in field_names})
     return json.dumps(rows, indent=2) + "\n"
-
-
-def records_from_json(text: str) -> list[ExperimentRecord]:
-    """Inverse of render_json for ExperimentRecord rows."""
-    return [ExperimentRecord(**row) for row in json.loads(text)]
 
 
 def emit(records, fmt: str, out=None, field_names=RECORD_FIELDS):

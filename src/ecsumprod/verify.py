@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charsum import bilinear_sum, roots_of_unity, solutions_spectrum, subgroup_sums
+from .charsum import _fft_roundoff, bilinear_sum, roots_of_unity, solutions_spectrum, subgroup_sums
 from .curve import INFINITY, scalar_mul
 from .errors import IdentityHasNoX
 from .extremal import mobius_identity_residuals
@@ -99,11 +99,9 @@ def run_identity_suite(table: OrbitTable, n_points: int, seed: int) -> list[Chec
     s_vals = sum_set(table, a_set, b_set)
     h_set = product_index_set(a_set, b_set, t)
     j = count_solutions(table, b_set, h_set, s_vals)
-    spectrum = solutions_spectrum(table, a_set, b_set)
-    # FFT roundoff bound (Higham, Accuracy and Stability of Numerical
-    # Algorithms, ch. 24) through Parseval, |S1| <= #B #H and |S2| <= #B.
-    tol = (16 * np.finfo(float).eps * math.ceil(math.log2(p))
-           * len(b_set) ** 2 * len(h_set) * math.sqrt(len(s_vals)))
+    spectrum = solutions_spectrum(table, b_set, h_set, s_vals)
+    # FFT roundoff bound through Parseval, |S1| <= #B #H and |S2| <= #B.
+    tol = _fft_roundoff(p, len(b_set) ** 2 * len(h_set) * math.sqrt(len(s_vals)))
     ok = (
         abs(spectrum.real - j) < tol
         and abs(spectrum.imag) < tol

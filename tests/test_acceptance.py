@@ -127,7 +127,7 @@ def test_criterion_05_counting_equals_characters():
         h = product_index_set([1, 2], [1, 2], 9)
         j = count_solutions(known, [1, 2], h, s)
         assert j == 10 and j >= 2 * 4
-        val = solutions_spectrum(known, [1, 2], [1, 2])
+        val = solutions_spectrum(known, [1, 2], h, s)
         assert abs(val.real - 10) < spectrum_tolerance(5, 2, len(h), len(s))
         assert round(val.real) == 10
 
@@ -146,7 +146,7 @@ def test_criterion_05_counting_equals_characters():
             h = product_index_set(a_set, b_set, order)
             j = count_solutions(table, b_set, h, s)
             assert j >= len(a_set) * len(b_set) ** 2
-            val = solutions_spectrum(table, a_set, b_set)
+            val = solutions_spectrum(table, b_set, h, s)
             tol = spectrum_tolerance(p, len(b_set), len(h), len(s))
             assert abs(val.real - j) < tol, (curve, point, j, val)
             assert abs(val.imag) < tol

@@ -32,7 +32,7 @@ from ecsumprod import (
 from ecsumprod.residue import euler_phi, units_of
 from ecsumprod.rng import SplitMix64
 from ecsumprod.sampling import discover_instance, max_order_point, sample_unit_subset
-from oracles import naive_bilinear, naive_subgroup_sum, spectrum_tolerance
+from oracles import naive_bilinear, naive_count, naive_subgroup_sum, spectrum_tolerance
 
 UNITS9 = units_of(9)
 
@@ -227,19 +227,22 @@ def test_subgroup_scan_known(known_table, monkeypatch):
 
 
 def test_solutions_worked_instance(known_table):
-    val = solutions_spectrum(known_table, [1, 2], [1, 2])
+    h = product_index_set([1, 2], [1, 2], 9)
+    s = sum_set(known_table, [1, 2], [1, 2])
+    val = solutions_spectrum(known_table, [1, 2], h, s)
     assert val.real == pytest.approx(10.0, abs=1e-9)
     assert abs(val.imag) < 1e-9
-    assert solutions_spectrum(known_table, [1, 2], [1, 2]).real == pytest.approx(10.0)
+    assert solutions_spectrum(known_table, {2, 1}, h.tolist(), s.tolist()).real == pytest.approx(10.0)
 
 
 def test_solutions_empty(known_table):
-    assert solutions_spectrum(known_table, [], [1]) == 0j
-    assert solutions_spectrum(known_table, [1], []).real == 0.0
+    assert solutions_spectrum(known_table, [], [1], [0]) == 0j
+    assert solutions_spectrum(known_table, [1], [], [0]).real == 0.0
 
 
 def test_solutions_match_count():
     rng = SplitMix64(31337)
+    wide = SplitMix64(4242)
     for i in range(12):
         p = (61, 101, 151)[i % 3]
         curve, summary, point, order = discover_instance(p, seed=900 + i)
@@ -249,12 +252,21 @@ def test_solutions_match_count():
         b = sample_unit_subset(order, min(1 + rng.below(10), phi), rng.next_u64())
         s = sum_set(table, a, b)
         h = product_index_set(a, b, order)
-        exact = count_solutions(table, b, h, s)
-        val = solutions_spectrum(table, a, b)
-        tol = spectrum_tolerance(p, len(b), len(h), len(s))
-        assert abs(val.real - exact) < tol
-        assert abs(val.imag) < tol
-        assert round(val.real) == exact
+        # Inputs no (A, B) need produce: any unit subset H, and any S in
+        # F_p, here with both ends 0 and p - 1.
+        wide_h = sample_unit_subset(order, min(1 + wide.below(20), phi), wide.next_u64())
+        wide_s = sorted({0, p - 1} | {wide.below(p) for _ in range(1 + wide.below(20))})
+        for hs, ss in ((h, s), (wide_h, wide_s)):
+            exact = count_solutions(table, b, hs, ss)
+            assert exact == naive_count(table, b, hs, ss)
+            val = solutions_spectrum(table, b, hs, ss)
+            tol = spectrum_tolerance(p, len(b), len(hs), len(ss))
+            assert abs(val.real - exact) < tol
+            assert abs(val.imag) < tol
+            assert round(val.real) == exact
+        for hs, ss in (([], wide_s), (wide_h, [])):
+            assert count_solutions(table, b, hs, ss) == 0
+            assert solutions_spectrum(table, b, hs, ss) == 0j
 
 
 def _table(p, seed):
@@ -435,10 +447,10 @@ def test_solutions_spectrum_makes_one_fft_of_two_rows(monkeypatch):
     table = _PARITY_TABLES["even_1009"]
     a = sample_unit_subset(table.order, 8, 1)
     b = sample_unit_subset(table.order, 8, 2)
-    val = solutions_spectrum(table, a, b)
-    assert shapes == [(2, table.p)]
     h = product_index_set(a, b, table.order)
     s = sum_set(table, a, b)
+    val = solutions_spectrum(table, b, h, s)
+    assert shapes == [(2, table.p)]
     assert round(val.real) == count_solutions(table, b, h, s)
     assert abs(val.imag) < spectrum_tolerance(table.p, len(b), len(h), len(s))
 
@@ -450,14 +462,16 @@ def test_spectra_make_no_blas_call(monkeypatch, blas):
     table = _PARITY_TABLES["even_1009"]
     a = sample_unit_subset(table.order, 8, 1)
     b = sample_unit_subset(table.order, 8, 2)
-    exact = count_solutions(table, b, product_index_set(a, b, table.order), sum_set(table, a, b))
+    h = product_index_set(a, b, table.order)
+    s = sum_set(table, a, b)
+    exact = count_solutions(table, b, h, s)
     hist = np.bincount(table.xs, minlength=table.p)
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"np.{blas} called")
 
     monkeypatch.setattr(np, blas, refuse)
-    assert round(solutions_spectrum(table, a, b).real) == exact
+    assert round(solutions_spectrum(table, b, h, s).real) == exact
     got = histogram_sums(hist, [1, 2, 5])
     assert abs(got[0] - naive_subgroup_sum(table, 1)) < 1e-12 * table.order
 

@@ -17,7 +17,6 @@ from ecsumprod import (
     enumerate_points,
     is_on_curve,
     point_add,
-    point_neg,
     point_order,
     scalar_mul,
 )
@@ -52,7 +51,7 @@ def test_add_examples(known_curve):
     assert point_add(known_curve, p, INFINITY) == p
     assert point_add(known_curve, INFINITY, p) == p
     assert point_add(known_curve, p, p) == (4, 2)  # tangent slope 1/2 = 3 mod 5
-    assert point_add(known_curve, p, point_neg(known_curve, p)) is INFINITY
+    assert point_add(known_curve, p, (0, (-1) % known_curve.p)) is INFINITY
     assert scalar_mul(known_curve, 3, p) == (2, 1)
     assert scalar_mul(known_curve, 9, p) is INFINITY
     assert scalar_mul(known_curve, 0, p) is INFINITY
@@ -125,7 +124,8 @@ def test_group_axioms_sampled():
                 right = point_add(curve, q1, point_add(curve, q2, q3))
                 assert left == right  # associativity
             for q in pts:
-                assert point_add(curve, q, point_neg(curve, q)) is INFINITY
+                neg = q if q is INFINITY else (q[0], (-q[1]) % p)
+                assert point_add(curve, q, neg) is INFINITY
                 assert scalar_mul(curve, n, q) is INFINITY  # Lagrange
 
 

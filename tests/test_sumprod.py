@@ -197,7 +197,7 @@ def test_count_solutions_memory_at_p_50021():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert j >= 200 * 200 ** 2
-    assert j == round(solutions_spectrum(table, a, b).real)
+    assert j == round(solutions_spectrum(table, b, h, s).real)
 
 
 def test_count_solutions_tally_passes_stay_few(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -9,7 +10,6 @@ from ecsumprod import (
     ExperimentRecord,
     TooLarge,
     parse_config,
-    records_from_json,
     render_csv,
     render_json,
     run_sweep,
@@ -297,9 +297,23 @@ def test_csv_shape():
 def test_json_round_trip():
     rows = run_sweep(config(mode="theorem3", p_list=[101]))
     text = render_json(rows)
-    assert records_from_json(text) == rows
     parsed = json.loads(text)
+    assert parsed == [asdict(r) for r in rows]
     assert list(parsed[0].keys()) == list(RECORD_FIELDS)
+
+
+def test_theorem3_empty_window_row():
+    # At p = 13, seed 0, the low-x window holds no unit: the row keeps the
+    # counts at 0, leaves ratio and thm_rhs empty and names the case.
+    rows = run_sweep(config(mode="theorem3", p_list=[13], master_seed=0))
+    assert len(rows) == 1
+    rec = rows[0]
+    assert (rec.sizeA, rec.sizeS, rec.sizeT) == (0, 0, 0)
+    assert rec.ratio is None and rec.thm_rhs is None
+    assert rec.error == "EmptyConstruction"
+    cells = dict(zip(RECORD_FIELDS, render_csv(rows).splitlines()[1].split(",")))
+    assert cells["ratio"] == cells["thm_rhs"] == ""
+    assert cells["error"] == "EmptyConstruction"
 
 
 def test_record_field_order():
