@@ -53,8 +53,8 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
-def units_of(t: int) -> np.ndarray:
-    """The unit group of Z_t as a sorted int64 array, t >= 2."""
+def unit_mask(t: int) -> np.ndarray:
+    """Boolean array of length t >= 2, True exactly at the units of Z_t."""
     if t < 2:
         raise ValueError("units_of needs t >= 2")
     # Sieve out the multiples of each prime factor: 8x faster than np.gcd
@@ -63,7 +63,12 @@ def units_of(t: int) -> np.ndarray:
     unit[0] = False
     for q, _ in factorize(t):
         unit[::q] = False
-    return np.flatnonzero(unit)
+    return unit
+
+
+def units_of(t: int) -> np.ndarray:
+    """The unit group of Z_t as a sorted int64 array, t >= 2."""
+    return np.flatnonzero(unit_mask(t))
 
 
 def inv_mod(a: int, t: int) -> int:
@@ -79,11 +84,13 @@ def inv_mod(a: int, t: int) -> int:
 
 
 def reduce_mod(k: np.ndarray, n: int, quot: np.ndarray | None = None) -> np.ndarray:
-    """k mod n in place for a nonnegative int64 array k; returns k.
+    """k mod n in place for an array k of nonnegative integers; returns k.
 
+    k is int64, or uint32 for count_solutions' index products below 2^32.
     Taken as k - (k // n) * n: numpy divides by a scalar through a
     precomputed reciprocal, and np.remainder does not (33 against 67 us on
-    16k elements). quot, an int64 buffer of k's shape, takes the quotient.
+    16k int64 elements). quot, a buffer of k's shape and dtype, takes the
+    quotient.
     """
     quot = np.floor_divide(k, n, out=quot)
     quot *= n

@@ -12,6 +12,8 @@ and the quadruple count
 
 Every (a, b1, b2) in A x B x B injects into those quadruples via
 (b1, b2, a*b1, x(aP) + x(b2 P)), so J >= #A * (#B)^2 holds exactly.
+count_solutions counts them as one gather per (b1, h): with
+g[w] = #{b2 in B : w + x(b2 P) in S}, J = sum over B x H of g(x(h*b1^-1 P)).
 
 A set is a sorted, distinct int64 array, in and out: every public set
 function validates its arguments into that form and returns it, and the
@@ -28,14 +30,16 @@ import numpy as np
 
 from .errors import InvariantViolation, NotAUnit
 from .orbit import OrbitTable
-from .residue import inv_mod, reduce_mod
+from .residue import euler_phi, inv_mod, reduce_mod, unit_mask
 
 # Elements per transient block in the set and count kernels: a block's
-# int64 temporaries (256 kB each) stay in a 2 MB L2 cache. count_solutions
-# at #B = 56, #H = 2682, p = 10007 took 2.3 ms, against 3.8 ms with blocks
-# of 2^18 elements (2 MB each).
+# int64 temporaries (128 kB each) stay in a 2 MB L2 cache. count_solutions
+# takes 1.05 ms a call over the 32 cells of the perfbench sumprod sweep
+# (#B = 56, mean #H = 2127, p near 10^4) with blocks of 2^14, 2^15 or
+# 2^18 elements alike, and that sweep peaks 0.4 MB lower in RSS at 2^14
+# than at 2^15 (2-vCPU Xeon, numpy 2.4.6).
 # Index products fit int64: T <= p + 1 + 2 sqrt(p) and p < 2^31.
-BLOCK = 1 << 15
+BLOCK = 1 << 14
 
 
 def _sorted_distinct(members) -> np.ndarray:
@@ -79,17 +83,21 @@ def check_unit_subset(members, t: int) -> np.ndarray:
     return arr
 
 
-def _row_blocks(n_rows: int, row_len: int):
-    """Slices of at most BLOCK // row_len rows (at least one), covering n_rows."""
-    step = max(1, BLOCK // max(1, row_len))
-    return (slice(i, i + step) for i in range(0, n_rows, step))
+def _blocks(n_rows: int, n_cols: int):
+    """(rows, cols) slice pairs tiling an n_rows x n_cols grid, at most
+    BLOCK cells a tile (at least one)."""
+    width = max(1, min(n_cols, BLOCK))
+    height = max(1, BLOCK // width)
+    for j in range(0, n_cols, width):
+        for i in range(0, n_rows, height):
+            yield slice(i, i + height), slice(j, j + width)
 
 
 def _distinct(n: int, xs: np.ndarray, ys: np.ndarray, op) -> np.ndarray:
     """Sorted distinct op(x, y) mod n over xs x ys, by a hit-mask filled in blocks."""
     hit = np.zeros(n, dtype=bool)
-    for rows in _row_blocks(len(xs), len(ys)):
-        hit[reduce_mod(op.outer(xs[rows], ys), n)] = True
+    for rows, cols in _blocks(len(xs), len(ys)):
+        hit[reduce_mod(op.outer(xs[rows], ys[cols]), n)] = True
     return np.flatnonzero(hit)
 
 
@@ -136,18 +144,21 @@ def solution_inputs(table: OrbitTable, b_set, h_set, sum_values):
 def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
     """Exact quadruple count J over B x B x H x S, in integers only.
 
-    With c1 the histogram on F_p of x(h*b1^-1 P) over B x H and c2 that of
-    x(b2 P) over B,
+    With g[w] = #{b2 in B : w + x(b2 P) in S} on F_p and G[k] = g[x(kP)],
 
-        J = sum over v in supp(c2) of c2[v] * sum over u in S of c1[(u - v) mod p].
+        J = sum over (b1, h) in B x H of G[h * b1^-1 mod T].
 
-    c1 is tallied on Z_T and carried to F_p through x once. Its indices
-    are made in row blocks of L2 size, or of at least T indices once T
-    exceeds BLOCK, so at most #B * #H / T + 1 bincount passes cost O(T)
-    each. The double sum reads c1 doubled, c1ext[u + p - v] =
-    c1[(u - v) mod p], so it needs no reduction. The work is
-    O(#B * #H + #B * #S + T) and the memory O(p + BLOCK), as T < 2p.
-    The character route in charsum shares only the input check,
+    g is built once from one p-length shifted copy of the indicator of S
+    per distinct x(b2 P), weighted 2 when b and T - b are both in B, in
+    the narrowest unsigned dtype that holds #B. G is then gathered at the
+    index products h * b1^-1 in blocks of at most BLOCK, as uint32 when
+    they fit (T <= 2^16) and as int64 otherwise. For each b1, h * b1^-1
+    runs over every unit as h does, so when #H > phi(T) / 2 the gather
+    runs over the units outside H, and J is #B times the sum of G over
+    the units minus that. The work is
+    O(#B * min(#H, phi(T) - #H) + #x(B) * p + T), the memory O(p) narrow
+    entries (T < 2p) plus blocks, and the int64 complement of H when it is
+    gathered. The character route in charsum shares only the input check,
     solution_inputs; a pure-Python triple loop in the tests pins this
     count on small instances.
     """
@@ -156,24 +167,34 @@ def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
         return 0
     bs, hs, us = inputs
     t, p = table.order, table.p
-    xs = table.xs
-    inv_b = np.array([inv_mod(b, t) for b in bs.tolist()], dtype=np.int64)
-    # rows per block: L2-sized, but at least T indices per length-T bincount
-    step = max(1, BLOCK // len(hs), -(-t // len(hs)))
-    c1_t = np.zeros(t, dtype=np.int64)  # histogram of h*b1^-1 on Z_T
-    for lo in range(0, len(inv_b), step):
-        k = reduce_mod(np.multiply.outer(inv_b[lo:lo + step], hs), t)
-        c1_t += np.bincount(k.ravel(), minlength=t)
-    c1 = np.zeros(p, dtype=np.int64)
-    np.add.at(c1, xs, c1_t[1:])
-    c1ext = np.concatenate((c1, c1))
-    c2 = np.bincount(xs[bs - 1], minlength=p)
-    vs = np.flatnonzero(c2)
-    total = 0
-    for rows in _row_blocks(len(vs), len(us)):
-        v = vs[rows]
-        k = np.add.outer(p - v, us)
-        total += int(c1ext[k].sum(axis=1) @ c2[v])
+    dtype = np.min_scalar_type(len(bs))
+    in_s = np.zeros(2 * p, dtype=np.uint8)  # 1_S written twice: no wrap mod p
+    in_s[us] = 1
+    in_s[us + p] = 1
+    g = np.zeros(p, dtype=dtype)
+    xb, weight = np.unique(table.xs[bs - 1], return_counts=True)
+    for v in xb[weight == 1].tolist():
+        g += in_s[v:v + p]
+    in_s *= 2  # x(bP) = x((T - b)P): weight 2 where b and T - b are both in B
+    for v in xb[weight == 2].tolist():
+        g += in_s[v:v + p]
+    del in_s
+    big_g = np.zeros(t, dtype=dtype)  # G on Z_T; index 0 is no unit, never read
+    big_g[1:] = g[table.xs]  # np.take would copy the read-only xs
+    del g
+    index = np.uint32 if (t - 1) ** 2 < 2**32 else np.int64  # holds h * b1^-1
+    total, sign = 0, 1
+    if 2 * len(hs) > euler_phi(t):  # gather over the units outside H
+        outside = unit_mask(t)
+        total, sign = len(bs) * int(big_g[outside].sum()), -1
+        outside[hs] = False
+        hs = np.flatnonzero(outside)
+        del outside
+    inv_b = np.array([inv_mod(b, t) for b in bs.tolist()], dtype=index)
+    hs = hs.astype(index)
+    for rows, cols in _blocks(len(inv_b), len(hs)):
+        k = reduce_mod(np.multiply.outer(inv_b[rows], hs[cols]), t)
+        total += sign * int(np.take(big_g, k).sum())
     return total
 
 

@@ -200,32 +200,34 @@ def test_count_solutions_memory_at_p_50021():
     assert j == round(solutions_spectrum(table, b, h, s).real)
 
 
-def test_count_solutions_tally_passes_stay_few(monkeypatch):
-    # T > BLOCK: each length-T bincount pass must take at least T indices,
-    # so the passes number at most #B #H / T + 1, not #B #H / BLOCK.
+def test_count_solutions_index_products_stay_few(monkeypatch):
+    # #B * min(#H, phi(T) - #H) index products h * b1^-1, in blocks of at
+    # most BLOCK, whichever side of phi(T) / 2 H lies on
     table = _table(1009, 2)
     t = table.order
-    a = sample_unit_subset(t, 60, 1)
-    b = sample_unit_subset(t, 60, 2)
+    phi = euler_phi(t)
+    a = sample_unit_subset(t, 30, 1)
+    b = sample_unit_subset(t, 30, 2)
     s = sum_set(table, a, b)
-    h = product_index_set(a, b, t)
-    expected = count_solutions(table, b, h, s)
-    assert expected == naive_count(table, b, h, s)
-    real_bincount = np.bincount
-    passes = []
+    h_small = sample_unit_subset(t, phi // 4, 3)
+    h_large = np.setdiff1d(units_of(t), sample_unit_subset(t, phi // 8, 4))
+    expected = [naive_count(table, b, h, s) for h in (h_small, h_large)]
+    real_reduce_mod = sumprod_module.reduce_mod
+    blocks = []
 
-    def counting_bincount(x, *args, **kwargs):
-        if kwargs.get("minlength") == t:
-            passes.append(len(x))
-        return real_bincount(x, *args, **kwargs)
+    def counting_reduce_mod(k, n, *args):
+        if n == t:
+            blocks.append(k.size)
+        return real_reduce_mod(k, n, *args)
 
-    monkeypatch.setattr(np, "bincount", counting_bincount)
+    monkeypatch.setattr(sumprod_module, "reduce_mod", counting_reduce_mod)
     for block in (32, 300, 4096):
         monkeypatch.setattr(sumprod_module, "BLOCK", block)
-        passes.clear()
-        assert count_solutions(table, b, h, s) == expected
-        assert sum(passes) == len(b) * len(h)
-        assert len(passes) <= len(b) * len(h) // t + 1
+        for h, want in zip((h_small, h_large), expected):
+            blocks.clear()
+            assert count_solutions(table, b, h, s) == want
+            assert sum(blocks) == len(b) * min(len(h), phi - len(h))
+            assert max(blocks) <= block
 
 
 def test_count_solutions_exact_at_p_1000003():
@@ -238,6 +240,98 @@ def test_count_solutions_exact_at_p_1000003():
     h = product_index_set(a, b, table.order)
     assert max(h) * max(b) > 2**32
     assert count_solutions(table, b, h, s) == naive_count(table, b, h, s)
+
+
+def test_count_solutions_memory_at_p_1000003():
+    table = _table(1_000_003, 1)
+    a = sample_unit_subset(table.order, 200, 1)
+    b = sample_unit_subset(table.order, 200, 2)
+    s = sum_set(table, a, b)
+    h = product_index_set(a, b, table.order)
+    tracemalloc.start()
+    try:
+        j = count_solutions(table, b, h, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert j >= 200 * 200 ** 2
+
+
+def test_count_solutions_all_units_but_few():
+    # #H > phi(T) / 2: the gather runs over the units outside H, here none
+    # and one
+    table = _table(211, 4)
+    t = table.order
+    units = units_of(t)
+    b = sample_unit_subset(t, 12, 1)
+    s = sample_unit_subset(table.p, 60, 2)
+    for h in (units, units[1:], np.delete(units, len(units) // 2)):
+        assert count_solutions(table, b, h, s) == naive_count(table, b, h, s)
+
+
+def test_count_solutions_dense_sum_values():
+    # #S > p / 2 and S = F_p, where J = #B^2 #H
+    table = _table(211, 4)
+    t, p = table.order, table.p
+    b = sample_unit_subset(t, 10, 1)
+    h = sample_unit_subset(t, 20, 2)
+    dense = np.setdiff1d(np.arange(p), sample_unit_subset(p, p // 3, 3))
+    assert len(dense) > p / 2
+    assert count_solutions(table, b, h, dense) == naive_count(table, b, h, dense)
+    assert count_solutions(table, b, h, range(p)) == len(b) ** 2 * len(h)
+    assert naive_count(table, b, h, range(p)) == len(b) ** 2 * len(h)
+
+
+def test_count_solutions_paired_b():
+    # b and T - b share x(bP): one shifted copy of weight 2
+    table = _table(211, 4)
+    t = table.order
+    half = sample_unit_subset(t, 8, 1)
+    b = np.union1d(half, t - half[:5])
+    h = sample_unit_subset(t, 20, 2)
+    s = sample_unit_subset(table.p, 90, 3)
+    assert len(np.unique(table.xs[b - 1])) < len(b)
+    assert count_solutions(table, b, h, s) == naive_count(table, b, h, s)
+
+
+def test_count_solutions_wide_weights():
+    # #B = 256: g reaches #B, past uint8
+    table = _table(1009, 2)
+    t, p = table.order, table.p
+    b = sample_unit_subset(t, 256, 1)
+    h = sample_unit_subset(t, 2, 2)
+    for s in (range(p), range(1, p)):
+        assert count_solutions(table, b, h, s) == naive_count(table, b, h, s)
+
+
+def test_count_solutions_index_products_past_int32():
+    # T just above 46340: index products h * b1^-1 lie between 2^31 and
+    # 2^32, where an int32 product would wrap
+    table = _table(46399, 1)
+    t = table.order
+    assert 46340 < t and t * t < 2**32
+    top = units_of(t)[-12:]
+    b = [pow(int(u), -1, t) for u in top]  # b^-1 among the largest units
+    h = units_of(t)[-40:]
+    s = sample_unit_subset(table.p, table.p // 2, 1)
+    assert 2**31 < int(top[0]) * int(h[0]) and int(top[-1]) * int(h[-1]) < 2**32
+    assert count_solutions(table, b, h, s) == naive_count(table, b, h, s)
+
+
+def test_count_solutions_makes_no_fft(monkeypatch):
+    # the counting route stays independent of the character route
+    def no_fft(*args, **kwargs):
+        raise AssertionError("count_solutions called an FFT")
+
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, no_fft)
+    for table in _ORACLE_TABLES[1:]:
+        t = table.order
+        b = sample_unit_subset(t, 6, 1)
+        s = sample_unit_subset(table.p, table.p // 3, 2)
+        for h in (sample_unit_subset(t, 5, 3), units_of(t)):
+            assert count_solutions(table, b, h, s) == naive_count(table, b, h, s)
 
 
 def test_invariant_violation_fails_the_cell(monkeypatch, capsys):
