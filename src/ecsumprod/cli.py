@@ -20,7 +20,7 @@ from .orbit import build_orbit, save_orbit
 from .residue import units_of
 from .rng import SplitMix64
 from .sampling import max_order_point, random_curve
-from .sumprod import sum_product_report
+from .sumprod import check_unit_subset, sum_product_report
 from .sweep import (
     emit,
     extremal_columns,
@@ -166,7 +166,8 @@ def cmd_charsum(args) -> int:
     sub = subgroup_scan(table)
     row = {
         **instance_columns(curve, summary, point, order), "nu": rep.nu,
-        "sizeK": len(set(k_set)), "sizeM": len(set(m_set)),
+        "sizeK": len(check_unit_subset(k_set, order)),
+        "sizeM": len(check_unit_subset(m_set, order)),
         "lam": rep.lam, "value": rep.value, "rhs": rep.rhs, "ratio": rep.ratio,
         "subgroup_max": sub.max_abs, "subgroup_lam": sub.lam,
         "subgroup_over_sqrt_p": sub.max_over_sqrt_p,

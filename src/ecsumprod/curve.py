@@ -104,7 +104,7 @@ def point_add(curve: CurveParams, pt1, pt2):
 
 
 def scalar_mul(curve: CurveParams, k: int, point):
-    """k*P for k >= 0 by double-and-add (left-to-right on the bits of k)."""
+    """k*P for k >= 0 by double-and-add (right-to-left: low bit of k first)."""
     if k < 0:
         raise ValueError("scalar must be nonnegative")
     acc = INFINITY

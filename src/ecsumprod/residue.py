@@ -56,9 +56,9 @@ def divisors(n: int) -> tuple[int, ...]:
 def unit_mask(t: int) -> np.ndarray:
     """Boolean array of length t >= 2, True exactly at the units of Z_t."""
     if t < 2:
-        raise ValueError("units_of needs t >= 2")
-    # Sieve out the multiples of each prime factor: 8x faster than np.gcd
-    # over Z_t at t = 10^4, and the same set.
+        raise ValueError("unit_mask needs t >= 2")
+    # Sieve out the multiples of each prime factor: 8x faster than a gcd
+    # per residue at t = 10^4, and the same set.
     unit = np.ones(t, dtype=bool)
     unit[0] = False
     for q, _ in factorize(t):

@@ -18,11 +18,11 @@ SAMPLES = 30  # affine points max_order_point draws
 def sample_unit_subset(t: int, k: int, seed: int) -> np.ndarray:
     """k distinct units of Z_t, drawn by a partial Fisher-Yates shuffle.
 
-    The shuffle walks the sorted unit array using SplitMix64(seed).below
-    for the swap indices; the first k slots are returned as a sorted int64
-    array, the package's form of a set (empty for k = 0). Only the
-    slots a swap touched are stored, so a draw costs O(k) besides the
-    sieve. Equal (t, k, seed) always produce the same subset, and
+    The shuffle swaps entries of the fresh sorted unit array that
+    units_of(t) returns, using SplitMix64(seed).below for the swap
+    indices; the first k slots are returned as a sorted int64 array, the
+    package's form of a set (empty for k = 0). A draw costs the sieve plus
+    O(k) swaps. Equal (t, k, seed) always produce the same subset, and
     k = phi(t) returns the whole unit group no matter the seed.
     """
     pool = units_of(t)
@@ -32,11 +32,10 @@ def sample_unit_subset(t: int, k: int, seed: int) -> np.ndarray:
     if k > n:
         raise TooLarge(f"asked for {k} of the {n} units mod {t}")
     rng = SplitMix64(seed)
-    moved = {}  # slot -> unit swapped into it; other slots still hold pool[slot]
     for i in range(k):
         j = i + rng.below(n - i)
-        moved[i], moved[j] = moved.get(j, pool[j]), moved.get(i, pool[i])
-    return np.sort(np.array([moved[i] for i in range(k)], dtype=np.int64))
+        pool[i], pool[j] = pool[j], pool[i]
+    return np.sort(pool[:k])
 
 
 def random_curve(p: int, rng: SplitMix64,

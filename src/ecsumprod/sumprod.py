@@ -19,7 +19,7 @@ A set is a sorted, distinct int64 array, in and out: every public set
 function validates its arguments into that form and returns it, and the
 kernels work on it in blocks of BLOCK elements, sized so a block's
 temporaries stay in L2. Validating a set that is already in that form
-costs microseconds, so sum_product_report goes through sum_set,
+costs tens of microseconds, so sum_product_report goes through sum_set,
 product_index_set and count_solutions as any caller would.
 """
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NotAUnit
 from .orbit import OrbitTable
-from .residue import euler_phi, inv_mod, reduce_mod, unit_mask
+from .residue import euler_phi, factorize, inv_mod, reduce_mod, unit_mask
 
 # Elements per transient block in the set and count kernels: a block's
 # int64 temporaries (128 kB each) stay in a 2 MB L2 cache. count_solutions
@@ -71,10 +71,13 @@ def check_unit_subset(members, t: int) -> np.ndarray:
     distinct int64 array.
 
     The smallest bad member decides the error: ValueError if it lies
-    outside [1, t-1], NotAUnit if it shares a factor with t.
+    outside [1, t-1], NotAUnit if a prime factor of t divides it (the
+    rule of residue.unit_mask).
     """
     arr = _sorted_distinct(members)
-    bad = (arr < 1) | (arr >= t) | (np.gcd(arr, t) != 1)
+    bad = (arr < 1) | (arr >= t)
+    for q, _ in factorize(max(t, 1)):  # t < 1: every member is outside already
+        bad |= arr % q == 0
     if bad.any():
         m = int(arr[np.argmax(bad)])
         if not 1 <= m < t:
@@ -149,14 +152,13 @@ def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
         J = sum over (b1, h) in B x H of G[h * b1^-1 mod T].
 
     g is built once from one p-length shifted copy of the indicator of S
-    per distinct x(b2 P), weighted 2 when b and T - b are both in B, in
-    the narrowest unsigned dtype that holds #B. G is then gathered at the
-    index products h * b1^-1 in blocks of at most BLOCK, as uint32 when
-    they fit (T <= 2^16) and as int64 otherwise. For each b1, h * b1^-1
-    runs over every unit as h does, so when #H > phi(T) / 2 the gather
-    runs over the units outside H, and J is #B times the sum of G over
-    the units minus that. The work is
-    O(#B * min(#H, phi(T) - #H) + #x(B) * p + T), the memory O(p) narrow
+    per b2 in B, in the narrowest unsigned dtype that holds #B. G is then
+    gathered at the index products h * b1^-1 in blocks of at most BLOCK,
+    as uint32 when they fit (T <= 2^16) and as int64 otherwise. For each
+    b1, h * b1^-1 runs over every unit as h does, so when #H > phi(T) / 2
+    the gather runs over the units outside H, and J is #B times the sum
+    of G over the units minus that. The work is
+    O(#B * min(#H, phi(T) - #H) + #B * p + T), the memory O(p) narrow
     entries (T < 2p) plus blocks, and the int64 complement of H when it is
     gathered. The character route in charsum shares only the input check,
     solution_inputs; a pure-Python triple loop in the tests pins this
@@ -172,11 +174,7 @@ def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
     in_s[us] = 1
     in_s[us + p] = 1
     g = np.zeros(p, dtype=dtype)
-    xb, weight = np.unique(table.xs[bs - 1], return_counts=True)
-    for v in xb[weight == 1].tolist():
-        g += in_s[v:v + p]
-    in_s *= 2  # x(bP) = x((T - b)P): weight 2 where b and T - b are both in B
-    for v in xb[weight == 2].tolist():
+    for v in table.xs[bs - 1].tolist():
         g += in_s[v:v + p]
     del in_s
     big_g = np.zeros(t, dtype=dtype)  # G on Z_T; index 0 is no unit, never read

@@ -284,7 +284,7 @@ def test_count_solutions_dense_sum_values():
 
 
 def test_count_solutions_paired_b():
-    # b and T - b share x(bP): one shifted copy of weight 2
+    # b and T - b share x(bP): the same shifted copy is added once for each
     table = _table(211, 4)
     t = table.order
     half = sample_unit_subset(t, 8, 1)
@@ -303,6 +303,20 @@ def test_count_solutions_wide_weights():
     h = sample_unit_subset(t, 2, 2)
     for s in (range(p), range(1, p)):
         assert count_solutions(table, b, h, s) == naive_count(table, b, h, s)
+
+
+def test_count_solutions_b_closed_under_negation():
+    # every x-value of B counted twice, and g in uint16 (#B = 256)
+    table = _table(1009, 2)
+    t, p = table.order, table.p
+    units = units_of(t)
+    half = units[units < t / 2][:128]
+    b = np.union1d(half, t - half)
+    assert len(b) == 256 and np.array_equal(b, np.sort(t - b))
+    h = sample_unit_subset(t, 2, 2)
+    s = sample_unit_subset(p, p // 2, 3)
+    assert count_solutions(table, b, h, s) == naive_count(table, b, h, s)
+    assert count_solutions(table, b, h, range(p)) == len(b) ** 2 * len(h)
 
 
 def test_count_solutions_index_products_past_int32():
@@ -446,3 +460,56 @@ def test_sample_unit_subset_matches_oracle():
     for t, k in ((10, 5), (10, -1), (97, 97)):
         assert _outcome(sample_unit_subset, t, k, 1) == _outcome(
             oracle_sample_unit_subset, t, k, SplitMix64(1), TooLarge)
+
+
+def _unit_check_outcomes(members, t):
+    """check_unit_subset's and the oracle's outcome on one member list."""
+    got = _outcome(check_unit_subset, members, t)
+    if isinstance(got, np.ndarray):
+        assert got.dtype == np.int64
+        got = tuple(got.tolist())
+    return got, _outcome(oracle_check_unit_subset, members, t, NotAUnit)
+
+
+@pytest.mark.parametrize("ts", [range(-1, 301), [2**16], [3**10], [30030]],
+                         ids=["t=-1..300", "t=2^16", "t=3^10", "t=30030"])
+def test_unit_check_matches_oracle_on_every_member(ts):
+    rng = SplitMix64(5)
+    for t in ts:
+        for m in range(-2, t + 2):
+            got, want = _unit_check_outcomes([m], t)
+            assert got == want, (t, m)
+        for _ in range(20):  # small mixed lists, duplicates allowed
+            members = [rng.below(t + 4) - 2 for _ in range(1 + rng.below(6))]
+            got, want = _unit_check_outcomes(members, t)
+            assert got == want, (t, members)
+
+
+@pytest.mark.parametrize("t", [998638, 9999204])
+def test_unit_check_matches_oracle_at_large_t(t):
+    rng = SplitMix64(t)
+    units = sample_unit_subset(t, 100, 1)
+    assert _unit_check_outcomes(units[::-1], t)[0] == tuple(units.tolist())
+    for _ in range(30):  # mostly units, with a few members drawn from [-2, t + 1]
+        members = units[:rng.below(100)].tolist()
+        members += [rng.below(t + 4) - 2 for _ in range(rng.below(4))]
+        got, want = _unit_check_outcomes(members, t)
+        assert got == want, (t, members)
+
+
+@pytest.mark.parametrize("t", [-1, 0])
+def test_unit_check_below_one(t):
+    # no member lies in [1, t - 1]: an empty set passes, any member is outside
+    assert check_unit_subset([], t).dtype == np.int64
+    assert check_unit_subset([], t).tolist() == []
+    for members in ([1], [0], [3, 2]):
+        with pytest.raises(ValueError, match="outside"):
+            check_unit_subset(members, t)
+
+
+def test_sample_unit_subset_leaves_units_of_alone():
+    # the shuffle swaps inside the array units_of returns: that array is fresh
+    for t, k in ((9930, 56), (101, 50), (10205, euler_phi(10205))):
+        before = units_of(t)
+        assert np.array_equal(sample_unit_subset(t, k, 3), sample_unit_subset(t, k, 3))
+        assert np.array_equal(units_of(t), before)

@@ -1,5 +1,6 @@
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +279,14 @@ def test_empty_p_list():
     rows = run_sweep(cfg)
     assert rows == []
     assert render_csv(rows) == ",".join(RECORD_FIELDS) + "\n"
+
+
+def test_readme_csv_header_is_record_fields():
+    # the README documents the wire format: its header block must be the code's
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    after = readme.split("Output columns, in wire order", 1)[1]
+    block = after.split("```", 2)[1]
+    assert block.strip() == ",".join(RECORD_FIELDS)
 
 
 def test_csv_shape():
