@@ -26,6 +26,11 @@ ENUMERATION_CAP = 10_000_000
 # F_p; at the cap the p-length tables are the uint8 or int32 ones below.
 BLOCK = 1 << 18
 
+# Point counts per running total of AffinePoints: locating a point takes a
+# cumulative sum over one stride (4 kB of counts, about 5 us), and the
+# totals take 8 bytes per stride (20 kB at the enumeration cap).
+STRIDE = 1 << 12
+
 
 @dataclass(frozen=True)
 class CurveParams:
@@ -103,19 +108,65 @@ def point_add(curve: CurveParams, pt1, pt2):
     return (x3, y3)
 
 
+def _jacobian_double(curve: CurveParams, acc):
+    """2*(X:Y:Z) in Jacobian coordinates; None (the identity) when Y = 0."""
+    x, y, z = acc
+    if y == 0:
+        return None
+    p = curve.p
+    yy = y * y % p
+    s = 4 * x * yy % p
+    zz = z * z % p
+    m = (3 * x * x + curve.a4 * zz * zz) % p
+    x3 = (m * m - 2 * s) % p
+    return x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p
+
+
+def _jacobian_add(curve: CurveParams, acc, point):
+    """(X:Y:Z) + (x, y), the addend affine (mixed addition); None for the identity."""
+    x1, y1, z1 = acc
+    x2, y2 = point
+    p = curve.p
+    zz = z1 * z1 % p
+    h = (x2 * zz - x1) % p
+    r = (y2 * z1 * zz - y1) % p
+    if h == 0:  # the same x: the sum is the identity or a doubling
+        return None if r else _jacobian_double(curve, acc)
+    hh = h * h % p
+    hhh = h * hh % p
+    v = x1 * hh % p
+    x3 = (r * r - hhh - 2 * v) % p
+    return x3, (r * (v - x3) - y1 * hhh) % p, z1 * h % p
+
+
 def scalar_mul(curve: CurveParams, k: int, point):
-    """k*P for k >= 0 by double-and-add (right-to-left: low bit of k first)."""
+    """k*P for k >= 0 by double-and-add (left-to-right: high bit of k first).
+
+    The accumulator (X:Y:Z) is in Jacobian coordinates, the affine point
+    (X/Z^2, Y/Z^3), and adds P as an affine point (mixed addition), so the
+    one inversion is pow(Z, -1, p) at the end (Cohen-Frey, Handbook of
+    Elliptic and Hyperelliptic Curve Cryptography, 13.2.1). The identity
+    cases are point_add's: doubling a point with y = 0 gives the identity,
+    and adding P to a point with the same x gives the identity, or 2P when
+    the y agree too.
+    """
     if k < 0:
         raise ValueError("scalar must be nonnegative")
-    acc = INFINITY
-    addend = point
-    while k:
-        if k & 1:
-            acc = point_add(curve, acc, addend)
-        k >>= 1
-        if k:
-            addend = point_add(curve, addend, addend)
-    return acc
+    if k == 0 or point is INFINITY:
+        return INFINITY
+    acc = (*point, 1)  # the top bit of k
+    for bit in bin(k)[3:]:
+        if acc is not None:
+            acc = _jacobian_double(curve, acc)
+        if bit == "1":
+            acc = (*point, 1) if acc is None else _jacobian_add(curve, acc, point)
+    if acc is None:
+        return INFINITY
+    p = curve.p
+    x, y, z = acc
+    zinv = pow(z, -1, p)
+    zz = zinv * zinv % p
+    return (x * zz % p, y * zz * zinv % p)
 
 
 def _half_squares(p: int):
@@ -219,8 +270,8 @@ class AffinePoints:
     square root y of f(x) before p - y, indexed without building the list.
 
     Holds the uint8 point count of every x (p bytes) and the running totals
-    of its blocks of BLOCK counts. Point i lies in the first block whose
-    running total exceeds i; a cumulative sum over that block alone finds
+    of its strides of STRIDE counts. Point i lies in the first stride whose
+    running total exceeds i; a cumulative sum over that stride alone finds
     its x, and the rank of i among the points over x picks the smaller
     root of f(x) (fp_sqrt) or p minus it. The counts that curve_summary
     tabulated for the same curve, when it was the last one tabulated, are
@@ -231,9 +282,13 @@ class AffinePoints:
         p = curve.p
         check_cap("point enumeration", p, ENUMERATION_CAP)
         self.curve = curve
-        self._counts = _affine_counts(curve)
-        self._ends = np.cumsum([self._counts[x0:x0 + BLOCK].sum(dtype=np.int64)
-                                for x0 in range(0, p, BLOCK)])
+        self._counts = counts = _affine_counts(curve)
+        full = p - p % STRIDE
+        # a reduction with dtype casts through a small buffer, never all p counts
+        totals = counts[:full].reshape(-1, STRIDE).sum(axis=1, dtype=np.int64)
+        if full < p:
+            totals = np.append(totals, counts[full:].sum(dtype=np.int64))
+        self._ends = np.cumsum(totals)
 
     def __len__(self) -> int:
         return int(self._ends[-1])
@@ -241,11 +296,11 @@ class AffinePoints:
     def __getitem__(self, i: int):
         if not 0 <= i < len(self):
             raise IndexError(f"affine point {i} of {len(self)}")
-        block = int(np.searchsorted(self._ends, i, side="right"))
-        if block:
-            i -= int(self._ends[block - 1])
-        x0 = block * BLOCK
-        ends = np.cumsum(self._counts[x0:x0 + BLOCK], dtype=np.int64)
+        stride = int(np.searchsorted(self._ends, i, side="right"))
+        if stride:
+            i -= int(self._ends[stride - 1])
+        x0 = stride * STRIDE
+        ends = np.cumsum(self._counts[x0:x0 + STRIDE], dtype=np.int64)
         j = int(np.searchsorted(ends, i, side="right"))
         rank = i - (int(ends[j - 1]) if j else 0)  # 0: smaller root, 1: larger
         c, x = self.curve, x0 + j

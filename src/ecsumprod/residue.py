@@ -1,6 +1,6 @@
 """Arithmetic in Z_T: factorization, totient, Mobius, units, inverses by the
-builtin pow, and reduce_mod, the array reduction that the set, J and
-sampled-character kernels share."""
+builtin pow, and reduce_mod, the array reduction that the orbit walk and
+the set, J and sampled-character kernels share."""
 
 import math
 import operator

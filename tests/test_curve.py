@@ -140,6 +140,24 @@ def test_scalar_mul_against_oracle(known_curve):
             assert scalar_mul(curve, k, q) == oracle_scalar(curve.p, curve.a4, curve.a6, k, q)
 
 
+# a4 = 0 (j = 0), a6 = 0 (the 2-torsion point (0, 0)), x^3 - x (all three
+# 2-torsion points), and generic curves; y^2 = x^3 + 1 over F_5 is
+# supersingular
+@pytest.mark.parametrize("p, a4, a6", [
+    (5, 0, 1), (5, 1, 1), (7, 0, 3), (7, 6, 0), (11, 1, 0), (13, 0, 2),
+    (13, 2, 3), (17, 16, 0), (19, 3, 0), (23, 1, 1),
+])
+def test_scalar_mul_every_point_and_multiple(p, a4, a6):
+    curve = CurveParams(p, a4, a6)
+    pts = oracle_points(p, curve.a4, curve.a6)
+    n = len(pts)
+    for q in pts:
+        for k in range(2 * n + 3):
+            assert scalar_mul(curve, k, q) == oracle_scalar(p, curve.a4, curve.a6, k, q), (q, k)
+    if a6 == 0:
+        assert (0, 0) in pts  # a 2-torsion point, doubled to the identity
+
+
 def test_hasse_window_all_small_primes():
     rng = SplitMix64(31337)
     for p in SMALL_PRIMES:
@@ -186,14 +204,16 @@ def test_max_order_point_matches_full_scan():
             assert rng.next_u64() == ref.next_u64()
 
 
-# BLOCK = 2 and 3 split F_p into many blocks, so points fall on both sides
-# of every block boundary, and pairs (x, y), (x, p - y) straddle none.
+# BLOCK = STRIDE = 2 and 3 split F_p into many blocks and strides, so points
+# fall on both sides of every boundary, and pairs (x, y), (x, p - y)
+# straddle none.
 @pytest.mark.parametrize("block", [2, 3, curve_module.BLOCK])
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_affine_points_match_enumeration(monkeypatch, p, block):
     # a6 = 0 curves have the point (0, 0), so y = 0 rows occur; p = 1 (mod 4)
     # takes fp_sqrt's Tonelli-Shanks branch
     monkeypatch.setattr(curve_module, "BLOCK", block)
+    monkeypatch.setattr(curve_module, "STRIDE", min(block, curve_module.STRIDE))
     tried = 0
     for a4, a6 in {(1, 0), (p - 1, 0), (0, 1), (1, 1), (2, 3), (3, p - 2), (p - 3, 5)}:
         try:

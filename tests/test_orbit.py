@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import math
 import pickle
 import struct
 import tracemalloc
@@ -8,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ecsumprod.curve as curve_module
 import ecsumprod.orbit as orbit_module
 from ecsumprod import (
     CurveParams,
@@ -172,6 +174,99 @@ def test_walk_matches_oracle_on_every_point(monkeypatch, lanes):
                     build_orbit(curve, q, bad)
     assert {2, 3} <= orders
     assert any(t % 2 and t > 3 for t in orders) and any(t % 2 == 0 and t > 4 for t in orders)
+
+
+def _grid_layout(order):
+    """The walk's (walked, L, rows, rows per call) under the current constants."""
+    walked = order - order // 2
+    lanes = min(orbit_module.LANES, math.isqrt(walked - 1) + 1)
+    rows = -(-walked // lanes)
+    return walked, lanes, rows, max(1, min(rows - 1, orbit_module.GRID_LANES // lanes))
+
+
+# GRID_LANES = 1 makes calls of one row, and 12 calls of two to four rows
+# of L = 3 .. 6, so the last call is often partial; the default fills each
+# grid here in one call.
+@pytest.mark.parametrize("grid", [1, 12, orbit_module.GRID_LANES])
+def test_walk_layout_edge_cases(monkeypatch, grid):
+    monkeypatch.setattr(orbit_module, "GRID_LANES", grid)
+    seen = set()
+    for p, a4, a6 in ((5, 1, 1), (7, 0, 3), (11, 1, 0), (17, 16, 0), (29, 1, 1),
+                      (31, 2, 0), (37, 2, 0), (41, 1, 3), (53, 3, 5)):
+        curve = CurveParams(p, a4, a6)
+        _, pts = enumerate_points(curve)
+        for q in pts[1:]:
+            xs, t = _oracle_walk(curve, q)
+            assert build_orbit(curve, q, t).xs.tolist() == list(xs)
+            walked, lanes, rows, per_call = _grid_layout(t)
+            if t <= 4:
+                seen.add(t)
+            if math.isqrt(walked) ** 2 == walked and walked > 1:
+                seen.add("square")
+            if 2 * lanes <= walked:
+                seen.add("doubling lane")  # 2L*P = LP + LP, by the tangent
+            if walked % lanes:
+                seen.add("partial row")
+            if rows > 2 and (rows - 1) % per_call:
+                seen.add("partial call")
+    wanted = {2, 3, 4, "square", "doubling lane", "partial row"}
+    assert wanted | ({"partial call"} if grid == 12 else set()) <= seen
+
+
+def test_wrong_order_identity_in_a_grid_lane(monkeypatch):
+    # claiming 2t for a point of order t walks to k = t, which lands inside
+    # the grid (not on a baby or giant step) when L < t and L does not divide t
+    raised = []
+    real = orbit_module._add_point
+
+    def spy(*args):
+        try:
+            return real(*args)
+        except OrderMismatch:
+            raised.append(args)
+            raise
+
+    monkeypatch.setattr(orbit_module, "_add_point", spy)
+    hits = 0
+    for p, a4, a6 in ((29, 1, 1), (37, 2, 0), (41, 1, 3), (53, 3, 5)):
+        curve = CurveParams(p, a4, a6)
+        _, pts = enumerate_points(curve)
+        for q in pts[1:]:
+            _, t = _oracle_walk(curve, q)
+            _, lanes, _, _ = _grid_layout(2 * t)
+            if (2 * t - p - 1) ** 2 > 4 * p or t <= lanes or t % lanes == 0:
+                continue
+            before = len(raised)
+            with pytest.raises(OrderMismatch, match="identity before the half-point"):
+                build_orbit(curve, q, 2 * t)
+            assert len(raised) == before + 1
+            hits += 1
+    assert hits >= 5
+
+
+def test_build_orbit_calls_no_scalar_mul(monkeypatch):
+    # verify's orbit_spot_values checks the table against scalar_mul, which
+    # means something only while the walk does not use it
+    curve, _, point, order = discover_instance(10007, 4)
+    expected = build_orbit(curve, point, order)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar_mul was called")
+
+    monkeypatch.setattr(curve_module, "scalar_mul", refuse)
+    monkeypatch.setattr(orbit_module, "scalar_mul", refuse)
+    assert build_orbit(curve, point, order) == expected
+    assert build_orbit(CurveParams(5, 1, 0), (0, 0), 2).xs.tolist() == [0]
+
+
+@pytest.mark.parametrize("p", [5, 10007, 2**31 - 1])
+def test_inverses_match_pow(p):
+    rng = np.random.default_rng(p)
+    for n in list(range(1, 40)) + [64, 65, 1000, 4097]:
+        d = rng.integers(1, p, size=n, dtype=np.int64)
+        inv = orbit_module._inverses(d, p)
+        assert inv.dtype == np.int64
+        assert inv.tolist() == [pow(v, -1, p) for v in d.tolist()]
 
 
 def test_order_above_hasse_bound_rejected(known_curve):
