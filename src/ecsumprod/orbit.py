@@ -154,6 +154,13 @@ def _add_point(curve: CurveParams, x: np.ndarray, y: np.ndarray,
     return x3, reduce_mod(y3, p)
 
 
+def _require_walk_on_curve(curve: CurveParams, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise NotOnCurve unless every (x, y) walked lies on the curve; the
+    temporaries are the size of one grid call, not of the walk."""
+    if np.any((y * y - rhs_values(curve, x)) % curve.p):
+        raise NotOnCurve("the orbit walk left the curve")
+
+
 def _affine_steps(curve: CurveParams, start, step, count: int) -> np.ndarray:
     """start + i*step for i = 0 .. count-1 by point_add, as a (count, 2) int64 array.
 
@@ -203,14 +210,14 @@ def build_orbit(curve: CurveParams, point, order: int) -> OrbitTable:
     step = tuple(baby[-1].tolist())  # L*P
     giant = _affine_steps(curve, step, step, rows - 1)  # jL*P for j = 1 .. rows-1
     xs[:lanes], ys[:lanes] = baby.T
+    _require_walk_on_curve(curve, xs[:lanes], ys[:lanes])
     per_call = max(1, min(rows - 1, GRID_LANES // lanes))  # rows per vectorised call
     bx, by = np.tile(xs[:lanes], per_call), np.tile(ys[:lanes], per_call)
     for j in range(1, rows, per_call):
         lo, hi = j * lanes, min((j + per_call) * lanes, walked)
         gx, gy = (np.repeat(g, lanes)[:hi - lo] for g in giant[j - 1:j - 1 + per_call].T)
         xs[lo:hi], ys[lo:hi] = _add_point(curve, bx[:hi - lo], by[:hi - lo], gx, gy)
-    if np.any((ys * ys - rhs_values(curve, xs[:walked])) % p):
-        raise NotOnCurve("the orbit walk left the curve")
+        _require_walk_on_curve(curve, xs[lo:hi], ys[lo:hi])
     if order % 2 == 0:
         at_half = ys[half - 1] == 0
     else:

@@ -1,9 +1,16 @@
 """Arithmetic in Z_T: factorization, totient, Mobius, units, inverses by the
 builtin pow, and reduce_mod, the array reduction that the orbit walk and
-the set, J and sampled-character kernels share."""
+the set, J and sampled-character kernels share.
+
+Every test of unit membership reads one sieve of Z_t, unit_sieve: a
+read-only boolean array of t bytes, cached for the last modulus asked
+for. unit_mask hands out a writable copy of it, units_of its support,
+and sumprod.check_unit_subset gathers from it.
+"""
 
 import math
 import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,8 +60,11 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
-def unit_mask(t: int) -> np.ndarray:
-    """Boolean array of length t >= 2, True exactly at the units of Z_t."""
+# One modulus: a theorem2 cell checks its sets against one T eight times,
+# and a sweep moves to the next T only with the next curve.
+@lru_cache(maxsize=1)
+def unit_sieve(t: int) -> np.ndarray:
+    """Read-only boolean array of length t >= 2, True exactly at the units of Z_t."""
     if t < 2:
         raise ValueError("unit_mask needs t >= 2")
     # Sieve out the multiples of each prime factor: 8x faster than a gcd
@@ -63,12 +73,19 @@ def unit_mask(t: int) -> np.ndarray:
     unit[0] = False
     for q, _ in factorize(t):
         unit[::q] = False
+    unit.flags.writeable = False
     return unit
 
 
+def unit_mask(t: int) -> np.ndarray:
+    """Boolean array of length t >= 2, True exactly at the units of Z_t;
+    a writable copy of unit_sieve(t)."""
+    return unit_sieve(t).copy()
+
+
 def units_of(t: int) -> np.ndarray:
-    """The unit group of Z_t as a sorted int64 array, t >= 2."""
-    return np.flatnonzero(unit_mask(t))
+    """The unit group of Z_t as a sorted int64 array, t >= 2 (a fresh one)."""
+    return np.flatnonzero(unit_sieve(t))
 
 
 def inv_mod(a: int, t: int) -> int:

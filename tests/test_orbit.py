@@ -244,6 +244,47 @@ def test_wrong_order_identity_in_a_grid_lane(monkeypatch):
     assert hits >= 5
 
 
+@pytest.mark.parametrize("corrupt", ["first", "middle", "last"])
+def test_walk_off_the_curve_in_a_later_grid_call(monkeypatch, corrupt):
+    # each grid call's points are checked as they are made, so a bad lane
+    # in any call raises, not only one that a check over the whole walk sees
+    curve, _, point, order = discover_instance(10007, 4)
+    _, lanes, rows, _ = _grid_layout(order)
+    monkeypatch.setattr(orbit_module, "GRID_LANES", 2 * lanes)
+    n_calls = -(-(rows - 1) // 2)
+    target = {"first": 0, "middle": n_calls // 2, "last": n_calls - 1}[corrupt]
+    real = orbit_module._add_point
+    calls = []
+
+    def spy(*args):
+        x3, y3 = real(*args)
+        if len(calls) == target:
+            y3 = y3.copy()
+            y3[-1] = (y3[-1] + 1) % curve.p  # 2y + 1 != 0 here: off the curve
+        calls.append(len(x3))
+        return x3, y3
+
+    monkeypatch.setattr(orbit_module, "_add_point", spy)
+    assert n_calls >= 3
+    with pytest.raises(NotOnCurve, match="left the curve"):
+        build_orbit(curve, point, order)
+    assert len(calls) == target + 1
+
+
+def test_walk_memory_at_p_1000003():
+    # the on-curve check runs per grid call: no walk-length temporaries
+    # beside the table and the walked y-values
+    curve, _, point, order = discover_instance(1_000_003, 1)
+    tracemalloc.start()
+    try:
+        table = build_orbit(curve, point, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    walk = table.xs.nbytes + 8 * (order - order // 2)
+    assert peak < walk + 4 * 2**20
+
+
 def test_build_orbit_calls_no_scalar_mul(monkeypatch):
     # verify's orbit_spot_values checks the table against scalar_mul, which
     # means something only while the walk does not use it

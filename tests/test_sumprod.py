@@ -485,6 +485,39 @@ def test_unit_check_matches_oracle_on_every_member(ts):
             assert got == want, (t, members)
 
 
+@pytest.mark.parametrize("ts", [range(-1, 301), [2**16], [3**10], [30030]],
+                         ids=["t=-1..300", "t=2^16", "t=3^10", "t=30030"])
+def test_unit_check_matches_oracle_on_canonical_arrays(ts):
+    # sorted distinct int64 arrays with bad members at either end or
+    # inside: the end tests and the sieve gather must find the smallest
+    rng = SplitMix64(6)
+    for t in ts:
+        for m in range(-2, t + 2):
+            got, want = _unit_check_outcomes(np.array([m], dtype=np.int64), t)
+            assert got == want, (t, m)
+        units = [m for m in range(1, min(t, 40)) if math.gcd(m, t) == 1]
+        cases = [units + [t], [0] + units, [-2] + units + [t + 1]]
+        cases += [sorted(set(units) | {m}) for m in range(1, min(t, 40))]
+        for _ in range(20):  # small mixed sets
+            cases.append(sorted({rng.below(t + 4) - 2 for _ in range(1 + rng.below(6))}))
+        for members in cases:
+            got, want = _unit_check_outcomes(np.array(members, dtype=np.int64), t)
+            assert got == want, (t, members)
+
+
+def test_unit_check_returns_a_new_array():
+    members = sample_unit_subset(9930, 56, 1)
+    members.flags.writeable = False
+    for arr in (members, np.array([], dtype=np.int64)):
+        got = check_unit_subset(arr, 9930)
+        assert np.array_equal(got, arr) and got.dtype == np.int64
+        assert got is not arr and not np.shares_memory(got, arr)
+        assert got.flags.writeable
+    # any other form is sorted and deduplicated
+    for arr in (members[::-1].copy(), np.repeat(members, 2), members.astype(np.int32)):
+        assert np.array_equal(check_unit_subset(arr, 9930), members)
+
+
 @pytest.mark.parametrize("t", [998638, 9999204])
 def test_unit_check_matches_oracle_at_large_t(t):
     rng = SplitMix64(t)
