@@ -21,7 +21,6 @@ from .charsum import (
     bilinear_sum,
     bilinear_sum_bound,
     histogram_sums,
-    roots_of_unity,
     solutions_spectrum,
     subgroup_scan,
     subgroup_sum,
@@ -49,7 +48,7 @@ from .extremal import (
     units_with_x_below,
 )
 from .field import fp_inv, fp_sqrt, is_prime, legendre, validate_prime_modulus
-from .orbit import OrbitTable, build_orbit, load_orbit, save_orbit, x_of
+from .orbit import OrbitTable, build_orbit, x_of
 from .residue import divisors, euler_phi, factorize, inv_mod, mobius, units_of
 from .rng import SplitMix64, derive_seed
 from .sampling import discover_instance, max_order_point, random_curve, sample_unit_subset

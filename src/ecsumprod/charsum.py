@@ -17,7 +17,6 @@ solution counting into the factored spectra in solutions_spectrum.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,15 +42,6 @@ def _roots(j: np.ndarray, p: int) -> np.ndarray:
     return np.exp(2j * np.pi * j / p)
 
 
-# One prime's table (16 MB near p = 10^6): sweeps visit primes in order.
-@lru_cache(maxsize=1)
-def roots_of_unity(p: int) -> np.ndarray:
-    """Read-only table of exp(2*pi*i*j/p) for j = 0 .. p-1."""
-    table = _roots(np.arange(p), p)
-    table.flags.writeable = False
-    return table
-
-
 def histogram_sums(hist: np.ndarray, lams) -> np.ndarray:
     """sum_z hist[z] * psi_lambda(z) at each lambda, for a histogram on F_p.
 
@@ -61,11 +51,11 @@ def histogram_sums(hist: np.ndarray, lams) -> np.ndarray:
     rows without support are dropped, so a zero histogram costs no pass.
     Each row is contracted against the W low roots psi_lambda(z0) (two
     real einsums, on their cos and sin parts), and the row sums against
-    the high roots psi_lambda(W*z1) (a third). The roots are computed as
-    roots_of_unity computes its entries, for blocks of lambdas whose
-    temporaries take about BLOCK bytes. Work is 2W multiply-adds per
-    lambda for each row with support, at most about 2p; memory is 16p
-    bytes for the grid plus the tables, with no p-length roots table.
+    the high roots psi_lambda(W*z1) (a third). The roots come from _roots,
+    for blocks of lambdas whose temporaries take about BLOCK bytes. Work
+    is 2W multiply-adds per lambda for each row with support, at most
+    about 2p; memory is 16p bytes for the grid plus the tables, with no
+    p-length roots table.
     The work does not shrink with the support inside a row, so a sparse
     histogram costs more than a gather over its support did: at 32
     lambdas and p = 9999991, 10^4 entries on 3037 rows take 0.55 s
@@ -119,7 +109,7 @@ def bilinear_sum(table: OrbitTable, k_set, m_set, lam: int,
     if not len(k_set) or not len(m_set):
         return 0.0
     xmat = table.xs[(k_set[:, None] * m_set[None, :]) % t - 1]
-    phases = roots_of_unity(p)[lam % p * xmat % p]
+    phases = _roots(lam % p * xmat % p, p)
     theta_vec = _weight_vector(theta, m_set)
     if theta_vec is not None:
         phases = phases * theta_vec[None, :]

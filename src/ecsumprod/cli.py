@@ -1,9 +1,9 @@
 """Command line front door.
 
-Subcommands: curve find, orbit build, verify, sumprod, charsum, extremal,
-sweep. Every run is seeded and reproducible; outputs go to stdout or
---out as CSV or JSON. Exit codes: 0 all asserted invariants passed,
-1 invariant violation, 2 usage or config error.
+Subcommands: curve find, verify, sumprod, charsum, extremal, sweep.
+Every run is seeded and reproducible; outputs go to stdout or --out as
+CSV or JSON. Exit codes: 0 all asserted invariants passed, 1 invariant
+violation, 2 usage or config error.
 """
 
 import argparse
@@ -16,7 +16,7 @@ from .charsum import bilinear_ratio_scan, subgroup_scan
 from .curve import CurveParams, curve_summary, point_order
 from .errors import EcsumprodError
 from .extremal import extremal_report
-from .orbit import build_orbit, save_orbit
+from .orbit import build_orbit
 from .residue import units_of
 from .rng import SplitMix64
 from .sampling import max_order_point, random_curve
@@ -120,16 +120,6 @@ def cmd_curve_find(args) -> int:
     return 0
 
 
-def cmd_orbit_build(args) -> int:
-    curve, summary, point, order, table = resolve_instance(args)
-    save_orbit(table, args.out)
-    sys.stdout.write(json.dumps({
-        "path": args.out, "p": curve.p, "a4": curve.a4, "a6": curve.a6,
-        "Px": point[0], "Py": point[1], "T": order, "N": summary.n_points,
-    }) + "\n")
-    return 0
-
-
 def cmd_verify(args) -> int:
     curve, summary, point, order, table = resolve_instance(args)
     checks = run_identity_suite(table, summary.n_points, args.seed)
@@ -214,13 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="keep curves with trace 0 mod p")
     _add_output_args(find)
     find.set_defaults(handler=cmd_curve_find)
-
-    orbit = sub.add_parser("orbit", help="orbit table caches")
-    orbit_sub = orbit.add_subparsers(dest="subcommand", required=True)
-    build = orbit_sub.add_parser("build", help="build x(kP) table and write the binary cache")
-    _add_instance_args(build)
-    build.add_argument("--out", required=True, help="cache file path")
-    build.set_defaults(handler=cmd_orbit_build)
 
     verify = sub.add_parser("verify", help="run the identity checks on one instance")
     _add_instance_args(verify)

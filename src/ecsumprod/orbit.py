@@ -14,19 +14,13 @@ error rather than a sentinel value.
 """
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import (
-    INFINITY, CurveParams, point_add, require_on_curve, rhs_values, scalar_mul,
-)
+from .curve import INFINITY, CurveParams, point_add, require_on_curve, rhs_values
 from .errors import IdentityHasNoX, NotOnCurve, OrderMismatch
 from .residue import reduce_mod
-
-# Versioned magic prefix of the binary cache format.
-CACHE_MAGIC = b"ECSP1"
 
 # Most baby steps of the orbit walk, the row length L of its grid. The walk
 # makes L + T/(2L) scalar point_add calls (1-2 us each) for the baby and
@@ -243,56 +237,3 @@ def x_of(table: OrbitTable, k: int) -> int:
     if r == 0:
         raise IdentityHasNoX(f"k = {k} = 0 mod {table.order}")
     return int(table.xs[r - 1])
-
-
-def save_orbit(table: OrbitTable, path) -> None:
-    """Write the binary cache: magic, 6 little-endian u64 header words
-    (p, a4, a6, x(P), y(P), T), then the T-1 x-values as u64."""
-    header = struct.pack("<6Q", *table._header())
-    body = table.xs.astype("<u8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC + header + body)
-
-
-def load_orbit(path) -> OrbitTable:
-    """Read a cache written by save_orbit and re-validate its invariants."""
-    # unbuffered, so the body is read into one bytes object and not joined
-    # to a read-ahead buffer; np.frombuffer then wraps it without a copy
-    with open(path, "rb", buffering=0) as fh:
-        head = fh.read(len(CACHE_MAGIC) + 48)
-        body = fh.read()
-    if head[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise ValueError(f"{path}: bad magic, not an orbit cache")
-    if len(head) < len(CACHE_MAGIC) + 48:
-        raise ValueError(f"{path}: truncated header")
-    p, a4, a6, px, py, order = struct.unpack_from("<6Q", head, len(CACHE_MAGIC))
-    if len(body) != 8 * (order - 1):
-        raise ValueError(f"{path}: expected {order - 1} x-values, found {len(body) // 8}")
-    # a u64 value of 2^63 or more reads as negative and fails the range check
-    xs = np.frombuffer(body, dtype="<i8")
-    table = OrbitTable(p=p, a4=a4, a6=a6, px=px, py=py, order=order, xs=xs)
-    validate_orbit(table)
-    return table
-
-
-def validate_orbit(table: OrbitTable) -> None:
-    """Structural checks on a table of unknown provenance.
-
-    Verifies value ranges, base point membership, the x(kP) = x((T-k)P)
-    symmetry, and that the recorded order annihilates the base point.
-    Cheaper than a rebuild, strong enough to reject corrupted caches.
-    """
-    curve = table.curve()
-    point = require_on_curve(curve, table.base_point())
-    xs = table.xs
-    if table.order < 2 or len(xs) != table.order - 1:
-        raise OrderMismatch("table length disagrees with the recorded order")
-    if xs.min() < 0 or xs.max() >= table.p:
-        raise ValueError("x-value out of field range")
-    if xs[0] != table.px:
-        raise ValueError("first table entry must be x(P)")
-    asymmetric = np.flatnonzero(xs != xs[::-1])
-    if len(asymmetric):
-        raise ValueError(f"symmetry x(kP) = x((T-k)P) fails at k={asymmetric[0] + 1}")
-    if scalar_mul(curve, table.order, point) is not INFINITY:
-        raise OrderMismatch("recorded order does not annihilate the base point")

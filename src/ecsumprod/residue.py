@@ -4,8 +4,8 @@ the set, J and sampled-character kernels share.
 
 Every test of unit membership reads one sieve of Z_t, unit_sieve: a
 read-only boolean array of t bytes, cached for the last modulus asked
-for. unit_mask hands out a writable copy of it, units_of its support,
-and sumprod.check_unit_subset gathers from it.
+for. units_of hands out its support, sumprod.check_unit_subset gathers
+from it, and count_solutions writes into a copy of it.
 """
 
 import math
@@ -66,7 +66,7 @@ def divisors(n: int) -> tuple[int, ...]:
 def unit_sieve(t: int) -> np.ndarray:
     """Read-only boolean array of length t >= 2, True exactly at the units of Z_t."""
     if t < 2:
-        raise ValueError("unit_mask needs t >= 2")
+        raise ValueError("unit_sieve needs t >= 2")
     # Sieve out the multiples of each prime factor: 8x faster than a gcd
     # per residue at t = 10^4, and the same set.
     unit = np.ones(t, dtype=bool)
@@ -75,12 +75,6 @@ def unit_sieve(t: int) -> np.ndarray:
         unit[::q] = False
     unit.flags.writeable = False
     return unit
-
-
-def unit_mask(t: int) -> np.ndarray:
-    """Boolean array of length t >= 2, True exactly at the units of Z_t;
-    a writable copy of unit_sieve(t)."""
-    return unit_sieve(t).copy()
 
 
 def units_of(t: int) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NotAUnit
 from .orbit import OrbitTable
-from .residue import euler_phi, inv_mod, reduce_mod, unit_mask, unit_sieve
+from .residue import euler_phi, inv_mod, reduce_mod, unit_sieve
 
 # Elements per transient block in the set and count kernels: a block's
 # int64 temporaries (128 kB each) stay in a 2 MB L2 cache. count_solutions
@@ -191,7 +191,7 @@ def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
     index = np.uint32 if (t - 1) ** 2 < 2**32 else np.int64  # holds h * b1^-1
     total, sign = 0, 1
     if 2 * len(hs) > euler_phi(t):  # gather over the units outside H
-        outside = unit_mask(t)
+        outside = unit_sieve(t).copy()
         total, sign = len(bs) * int(big_g[outside].sum()), -1
         outside[hs] = False
         hs = np.flatnonzero(outside)

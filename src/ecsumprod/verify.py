@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charsum import _fft_roundoff, bilinear_sum, roots_of_unity, solutions_spectrum, subgroup_sums
+from .charsum import (
+    _fft_roundoff, _roots, bilinear_sum, histogram_sums, solutions_spectrum, subgroup_sums,
+)
 from .curve import INFINITY, scalar_mul
 from .errors import IdentityHasNoX
 from .extremal import mobius_identity_residuals
@@ -21,7 +23,7 @@ from .rng import SplitMix64
 from .sampling import sample_unit_subset
 from .sumprod import count_solutions, product_index_set, sum_set
 
-# Above this p, the orthogonality check samples its table indices and the
+# Above this p, the orthogonality check samples its root indices and the
 # subgroup bound its lambdas, instead of walking all of F_p x F_p.
 EXHAUSTIVE_CAP = 101
 
@@ -69,17 +71,19 @@ def run_identity_suite(table: OrbitTable, n_points: int, seed: int) -> list[Chec
     results.append(_check("orbit_spot_values", bad == 0, f"{bad} mismatches of 10"))
 
     # Character orthogonality: (1/p) sum_lambda psi_lambda(z) = [z = 0]. For
-    # z != 0, lambda -> lambda z permutes F_p, so every such sum is the sum
-    # of the table; z = 0 reads its first entry. The table's entries are
-    # read through psi_{j+k} = psi_j psi_k on pairs of sampled indices.
-    roots = roots_of_unity(p)
+    # z != 0, lambda -> lambda z permutes F_p, so every such sum is
+    # sum_j psi(j), read from histogram_sums of the constant histogram (the
+    # factored pass the lambda sums use); z = 0 reads psi(0). The roots
+    # are checked through psi_{j+k} = psi_j psi_k on pairs of sampled indices.
     if p <= EXHAUSTIVE_CAP:
         idx = np.arange(p, dtype=np.int64)
     else:
         idx = np.array([rng.below(p) for _ in range(64)], dtype=np.int64)
-    product = np.abs(roots[np.add.outer(idx, idx) % p]
-                     - np.multiply.outer(roots[idx], roots[idx])).max()
-    worst = max(abs(roots.sum()) / p, abs(roots[0] - 1.0), float(product))
+    roots = _roots(idx, p)
+    product = np.abs(_roots(np.add.outer(idx, idx) % p, p)
+                     - np.multiply.outer(roots, roots)).max()
+    total = histogram_sums(np.ones(p), [1])[0]
+    worst = max(abs(total) / p, abs(_roots(0, p) - 1.0), float(product))
     results.append(_check("orthogonality", worst < 1e-9, f"max residual {worst:.3g}"))
 
     # Unit-orbit sieve identity, trivial character included.

@@ -22,7 +22,6 @@ from ecsumprod import (
     histogram_sums,
     is_prime,
     product_index_set,
-    roots_of_unity,
     solutions_spectrum,
     subgroup_scan,
     subgroup_sum,
@@ -35,23 +34,6 @@ from ecsumprod.sampling import discover_instance, max_order_point, sample_unit_s
 from oracles import naive_bilinear, naive_count, naive_subgroup_sum, spectrum_tolerance
 
 UNITS9 = units_of(9)
-
-
-def test_roots_table():
-    tab = roots_of_unity(7)
-    assert len(tab) == 7
-    assert tab[0] == 1
-    assert abs(tab.sum()) < 1e-12
-    assert tab is roots_of_unity(7)  # cached
-    with pytest.raises(ValueError):
-        tab[0] = 0  # read-only
-
-
-def test_roots_cache_holds_one_prime():
-    roots_of_unity(11)
-    tab = roots_of_unity(13)
-    assert roots_of_unity.cache_info().currsize == 1
-    assert roots_of_unity(13) is tab
 
 
 def _naive_histogram_sum(hist, lam):
@@ -128,6 +110,21 @@ def test_bilinear_random_instances():
         lam = 1 + rng.below(p - 1)
         assert bilinear_sum(table, k, m, lam) == pytest.approx(
             naive_bilinear(table, k, m, lam), abs=1e-8)
+
+
+def test_bilinear_sum_builds_no_p_length_array():
+    # the roots come from the #K * #M gathered x-values only; a table of
+    # every root at p = 10^6 would take 16 MB
+    table = _table(1000003, 1)
+    k = sample_unit_subset(table.order, 16, 1)
+    m = sample_unit_subset(table.order, 16, 2)
+    tracemalloc.start()
+    try:
+        bilinear_sum(table, k, m, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_bound_value():

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,7 @@ import pytest
 
 import ecsumprod.cli as cli_module
 import ecsumprod.sumprod as sumprod_module
-from ecsumprod.cli import main, parse_member_set
-from ecsumprod.orbit import load_orbit
+from ecsumprod.cli import build_parser, main, parse_member_set
 from ecsumprod.sweep import RECORD_FIELDS
 
 KNOWN = ["--p", "5", "--a4", "1", "--a6", "1", "--px", "0", "--py", "1"]
@@ -75,14 +75,14 @@ def test_curve_find_golden(capsys):
     ]
 
 
-def test_orbit_build_round_trip(tmp_path, capsys):
-    cache = str(tmp_path / "orbit.bin")
-    code, out, err = run(capsys, ["orbit", "build", *KNOWN, "--out", cache])
-    assert code == 0
-    meta = json.loads(out)
-    assert meta["path"] == cache and meta["T"] == 9 and meta["N"] == 9
-    table = load_orbit(cache)
-    assert table.xs.tolist() == [0, 4, 2, 3, 3, 2, 4, 0]
+def test_readme_commands_parse():
+    # the Command line block of the README must stay valid usage; parsed, not run
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("ecsumprod ")]
+    parser = build_parser()
+    commands = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
+    assert commands == {"curve", "verify", "sumprod", "charsum", "extremal", "sweep"}
 
 
 def test_verify_text(capsys):

@@ -18,13 +18,11 @@ from ecsumprod import (
     OrderMismatch,
     build_orbit,
     enumerate_points,
-    load_orbit,
     point_order,
-    save_orbit,
     scalar_mul,
     x_of,
 )
-from ecsumprod.orbit import CACHE_MAGIC, OrbitTable, validate_orbit
+from ecsumprod.orbit import OrbitTable
 from ecsumprod.rng import SplitMix64
 from ecsumprod.sampling import discover_instance
 from oracles import oracle_add
@@ -79,61 +77,6 @@ def test_spot_values_against_scalar_mul(known_curve, known_table):
             continue
         q = scalar_mul(known_curve, k % 9, (0, 1))
         assert x_of(known_table, k) == q[0]
-
-
-def test_cache_round_trip(tmp_path, known_table):
-    path = tmp_path / "orbit.bin"
-    save_orbit(known_table, path)
-    blob = path.read_bytes()
-    assert blob[:5] == CACHE_MAGIC
-    assert len(blob) == 5 + 6 * 8 + 8 * (known_table.order - 1)
-    header = struct.unpack_from("<6Q", blob, 5)
-    assert header == (5, 1, 1, 0, 1, 9)
-    assert load_orbit(path) == known_table
-
-
-def test_cache_rejects_corruption(tmp_path, known_table):
-    path = tmp_path / "orbit.bin"
-    save_orbit(known_table, path)
-    blob = bytearray(path.read_bytes())
-
-    bad = tmp_path / "bad_magic.bin"
-    bad.write_bytes(b"XXXXX" + blob[5:])
-    with pytest.raises(ValueError):
-        load_orbit(bad)
-
-    short = tmp_path / "short.bin"
-    short.write_bytes(blob[:-8])
-    with pytest.raises(ValueError):
-        load_orbit(short)
-
-    tampered = bytearray(blob)
-    tampered[5 + 48] ^= 1  # flip a bit of x(1P); breaks x(P) consistency
-    bad2 = tmp_path / "tampered.bin"
-    bad2.write_bytes(tampered)
-    with pytest.raises((ValueError, OrderMismatch, NotOnCurve)):
-        load_orbit(bad2)
-
-
-def test_validate_orbit_catches_symmetry_break(known_table):
-    xs = list(known_table.xs)
-    xs[1] = (xs[1] + 1) % 5
-    broken = OrbitTable(p=5, a4=1, a6=1, px=0, py=1, order=9, xs=tuple(xs))
-    with pytest.raises(ValueError):
-        validate_orbit(broken)
-
-
-def test_validate_orbit_reports_first_failure(known_table):
-    fields = dict(p=5, a4=1, a6=1, px=0, py=1, order=9)
-    xs = list(known_table.xs)  # (0, 4, 2, 3, 3, 2, 4, 0)
-    xs[2], xs[5] = 0, 1  # breaks the symmetry at k = 3, 6 (and 3 = 9 - 6)
-    with pytest.raises(ValueError, match=r"fails at k=3$"):
-        validate_orbit(OrbitTable(xs=tuple(xs), **fields))
-    for bad in ((-1, -1), (5, 5), (2**64 - 1, 2**64 - 1), (-1, 2**64 - 1)):
-        xs = list(known_table.xs)
-        xs[3], xs[4] = bad  # symmetric when equal; only the range is wrong
-        with pytest.raises(ValueError, match="out of field range"):
-            validate_orbit(OrbitTable(xs=tuple(xs), **fields))
 
 
 def test_random_orbits_symmetric_and_consistent():
@@ -295,7 +238,7 @@ def test_build_orbit_calls_no_scalar_mul(monkeypatch):
         raise AssertionError("scalar_mul was called")
 
     monkeypatch.setattr(curve_module, "scalar_mul", refuse)
-    monkeypatch.setattr(orbit_module, "scalar_mul", refuse)
+    assert not hasattr(orbit_module, "scalar_mul")  # orbit.py does not import it
     assert build_orbit(curve, point, order) == expected
     assert build_orbit(CurveParams(5, 1, 0), (0, 0), 2).xs.tolist() == [0]
 
@@ -365,15 +308,10 @@ def test_deepcopy_returns_the_table_itself():
     assert copy.deepcopy([table])[0] is table
 
 
-def test_load_orbit_holds_one_copy_of_the_body(tmp_path):
-    curve, _, point, order = discover_instance(10007, 4)
-    save_orbit(build_orbit(curve, point, order), tmp_path / "orbit.bin")
-    table, peak = _traced_peak(lambda: load_orbit(tmp_path / "orbit.bin"))
-    assert table.order == order and peak < 1.5 * 8 * (order - 1)
-
-
-# sha256 of save_orbit's file for discover_instance(p, seed), recorded when
-# save_orbit still packed the tuple with struct.
+# sha256 of b"ECSP1", the header words (p, a4, a6, x(P), y(P), T) as
+# little-endian u64 and the x-values as little-endian u64, for
+# discover_instance(p, seed): the bytes of the binary orbit cache the
+# package once wrote, recorded when the table was still a tuple.
 _CACHE_SHA256 = {
     (5, 1): "253e78f2d512225ff55079b05866f0e0c3c0976a9f2e7c79c32861bad5d8e663",
     (101, 2): "cadf1e6f0e6e84e0544aaee41753a80e51850e3fb2c072a5fba7db57b840e5ca",
@@ -384,12 +322,12 @@ _CACHE_SHA256 = {
 
 
 @pytest.mark.parametrize("p, seed", sorted(_CACHE_SHA256))
-def test_array_native_table(tmp_path, p, seed):
+def test_array_native_table(p, seed):
     curve, _, point, order = discover_instance(p, seed)
     table = build_orbit(curve, point, order)
-    path = tmp_path / "orbit.bin"
-    save_orbit(table, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == _CACHE_SHA256[p, seed]
+    header = struct.pack("<6Q", p, table.a4, table.a6, table.px, table.py, order)
+    blob = b"ECSP1" + header + table.xs.astype("<u8").tobytes()
+    assert hashlib.sha256(blob).hexdigest() == _CACHE_SHA256[p, seed]
 
     arr = table.xs
     assert arr.dtype == np.int64 and not arr.flags.writeable
@@ -403,7 +341,6 @@ def test_array_native_table(tmp_path, p, seed):
     assert from_tuple.xs.tolist() == arr.tolist()
     assert OrbitTable(xs=arr, **fields).xs is arr  # read-only int64: kept, not copied
     assert dataclasses.replace(table, xs=from_tuple.xs) == table
-    assert load_orbit(path) == table
 
 
 def test_table_array_is_private(known_table):
@@ -416,6 +353,8 @@ def test_table_array_is_private(known_table):
         assert not table.xs.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
         table.xs = ()
+    with pytest.raises(ValueError, match="out of field range"):
+        dataclasses.replace(known_table, xs=(2**64 - 1,) * 8)
 
 
 def _round_trips(table):
@@ -425,16 +364,13 @@ def _round_trips(table):
     yield "copy", copy.copy(table)
 
 
-@pytest.mark.parametrize("source", ["build_orbit", "tuple", "load_orbit"])
-def test_copied_table_stays_read_only(tmp_path, source):
+@pytest.mark.parametrize("source", ["build_orbit", "tuple"])
+def test_copied_table_stays_read_only(source):
     curve, _, point, order = discover_instance(1009, 2)
     table = build_orbit(curve, point, order)
     if source == "tuple":
         table = OrbitTable(p=table.p, a4=table.a4, a6=table.a6, px=table.px,
                            py=table.py, order=table.order, xs=tuple(table.xs.tolist()))
-    elif source == "load_orbit":
-        save_orbit(table, tmp_path / "orbit.bin")
-        table = load_orbit(tmp_path / "orbit.bin")
     for how, twin in _round_trips(table):
         arr = twin.xs
         assert arr.dtype == np.int64 and not arr.flags.writeable, how

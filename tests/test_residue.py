@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ecsumprod import NotAUnit, divisors, euler_phi, factorize, inv_mod, mobius, units_of
-from ecsumprod.residue import reduce_mod, unit_mask, unit_sieve
+from ecsumprod.residue import reduce_mod, unit_sieve
 from oracles import oracle_mobius, oracle_phi
 
 
@@ -53,21 +53,23 @@ def test_unit_sieve_is_cached_read_only_and_lent_as_copies():
     assert sieve.dtype == bool and not sieve.flags.writeable
     with pytest.raises(ValueError):
         sieve[1] = False
-    # unit_mask and units_of hand out fresh writable arrays: their callers
+    # a copy of it and units_of are fresh writable arrays: their callers
     # write into them (count_solutions, sample_unit_subset)
-    mask, units = unit_mask(360), units_of(360)
+    mask, units = unit_sieve(360).copy(), units_of(360)
     assert mask.flags.writeable and units.flags.writeable
     assert np.array_equal(mask, sieve) and np.array_equal(units, np.flatnonzero(sieve))
     mask[:] = True
     units[:] = 0
     assert unit_sieve(360) is sieve
     assert units_of(360).tolist() == [m for m in range(1, 360) if math.gcd(m, 360) == 1]
-    assert unit_mask(360).sum() == euler_phi(360)
+    assert unit_sieve(360).copy().sum() == euler_phi(360)
     unit_sieve(361)
     assert unit_sieve.cache_info().currsize == 1  # t bytes for the last modulus only
     for t in (1, 0, -5):
+        with pytest.raises(ValueError, match="unit_sieve needs t >= 2"):
+            unit_sieve(t).copy()
         with pytest.raises(ValueError):
-            unit_mask(t)
+            units_of(t)
 
 
 def test_inv_mod_examples():

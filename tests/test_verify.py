@@ -73,8 +73,9 @@ def test_orbit_symmetry_check_sees_a_broken_table(known_table, known_summary):
 
 @pytest.mark.parametrize("p", [101, 1009])
 def test_orthogonality_check_sees_a_perturbed_root(monkeypatch, p):
-    # one entry rotated by 1e-8 rad moves the table's sum by only 1e-8 / p,
-    # below the tolerance; psi_{j+k} = psi_j psi_k must give it away
+    # one root rotated by 1e-8 rad: the sum over F_p comes from
+    # histogram_sums and never sees it, so psi_{j+k} = psi_j psi_k on the
+    # sampled pairs must give it away
     curve, summary, point, order = discover_instance(p, seed=5)
     table = build_orbit(curve, point, order)
     if p <= verify.EXHAUSTIVE_CAP:
@@ -84,10 +85,9 @@ def test_orthogonality_check_sees_a_perturbed_root(monkeypatch, p):
         for _ in range(10):
             rng.below(10 * order)
         bad = rng.below(p)
-    good = verify.roots_of_unity(p)
-    broken = good.copy()
-    broken[bad] *= np.exp(1e-8j)
-    monkeypatch.setattr(verify, "roots_of_unity", lambda q: broken)
+    good = verify._roots
+    monkeypatch.setattr(verify, "_roots", lambda j, q: np.where(
+        np.asarray(j) % q == bad, good(j, q) * np.exp(1e-8j), good(j, q)))
     by_name = {r.name: r for r in run_identity_suite(table, summary.n_points, seed=5)}
     assert not by_name["orthogonality"].ok
     assert by_name["mobius_identity"].ok
