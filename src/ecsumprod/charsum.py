@@ -48,14 +48,15 @@ def histogram_sums(hist: np.ndarray, lams) -> np.ndarray:
     With W = isqrt(p - 1) + 1 and z = W*z1 + z0, 0 <= z0 < W,
     psi_lambda(z) = psi_lambda(W*z1) * psi_lambda(z0). hist is laid out
     once as a float grid of ceil(p/W) rows of W (zero-padded), and its
-    rows without support are dropped, so a zero histogram costs no pass.
+    rows without support are dropped (a copy, made only then), so a zero
+    histogram costs no pass.
     Each row is contracted against the W low roots psi_lambda(z0) (two
     real einsums, on their cos and sin parts), and the row sums against
     the high roots psi_lambda(W*z1) (a third). The roots come from _roots,
     for blocks of lambdas whose temporaries take about BLOCK bytes. Work
     is 2W multiply-adds per lambda for each row with support, at most
-    about 2p; memory is 16p bytes for the grid plus the tables, with no
-    p-length roots table.
+    about 2p; memory is 8p bytes for the grid, plus its live rows when
+    some row is dropped, plus the tables, with no p-length roots table.
     The work does not shrink with the support inside a row, so a sparse
     histogram costs more than a gather over its support did: at 32
     lambdas and p = 9999991, 10^4 entries on 3037 rows take 0.55 s
@@ -70,7 +71,8 @@ def histogram_sums(hist: np.ndarray, lams) -> np.ndarray:
     grid[:p] = hist
     grid = grid.reshape(-1, width)
     live = np.flatnonzero(grid.any(axis=1))
-    grid = grid[live]
+    if len(live) < len(grid):
+        grid = grid[live]
     low, high = np.arange(width), live * width  # z0 and W*z1 < p
     lams = np.array([lam % p for lam in lams], dtype=np.int64)
     sums = np.empty(len(lams), dtype=complex)
@@ -147,6 +149,8 @@ class CharSumReport:
     """Largest bilinear sum seen over a full nontrivial-character scan."""
 
     nu: int
+    size_k: int
+    size_m: int
     lam: int  # smallest lambda attaining the max up to roundoff (_first_max)
     value: float
     rhs: float
@@ -221,7 +225,8 @@ def bilinear_ratio_scan(table: OrbitTable, k_set, m_set, nu: int) -> CharSumRepo
     for start in range(0, len(k_set), step):
         vals += _half_spectrum_abs(xs[k_set[start:start + step, None] * m_set[None, :] % t - 1], p)
     lam, value = _first_max(vals, p, len(k_set) * len(m_set))
-    return CharSumReport(nu=nu, lam=lam, value=value, rhs=rhs, ratio=value / rhs)
+    return CharSumReport(nu=nu, size_k=len(k_set), size_m=len(m_set),
+                         lam=lam, value=value, rhs=rhs, ratio=value / rhs)
 
 
 def subgroup_sums(table: OrbitTable, lams) -> np.ndarray:

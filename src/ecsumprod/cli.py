@@ -7,10 +7,8 @@ violation, 2 usage or config error.
 """
 
 import argparse
-import json
 import re
 import sys
-from dataclasses import asdict
 
 from .charsum import bilinear_ratio_scan, subgroup_scan
 from .curve import CurveParams, curve_summary, point_order
@@ -20,7 +18,7 @@ from .orbit import build_orbit
 from .residue import units_of
 from .rng import SplitMix64
 from .sampling import max_order_point, random_curve
-from .sumprod import check_unit_subset, sum_product_report
+from .sumprod import sum_product_report
 from .sweep import (
     emit,
     extremal_columns,
@@ -108,6 +106,8 @@ def resolve_instance(args):
 
 
 def cmd_curve_find(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     rng = SplitMix64(args.seed)
     rows = []
     for _ in range(args.count):
@@ -124,7 +124,7 @@ def cmd_verify(args) -> int:
     curve, summary, point, order, table = resolve_instance(args)
     checks = run_identity_suite(table, summary.n_points, args.seed)
     if args.format == "json":
-        sys.stdout.write(json.dumps([asdict(c) for c in checks], indent=2) + "\n")
+        emit(checks, "json", None, ("name", "ok", "detail"))
     else:
         sys.stdout.write(
             f"instance p={curve.p} a4={curve.a4} a6={curve.a6} "
@@ -156,8 +156,7 @@ def cmd_charsum(args) -> int:
     sub = subgroup_scan(table)
     row = {
         **instance_columns(curve, summary, point, order), "nu": rep.nu,
-        "sizeK": len(check_unit_subset(k_set, order)),
-        "sizeM": len(check_unit_subset(m_set, order)),
+        "sizeK": rep.size_k, "sizeM": rep.size_m,
         "lam": rep.lam, "value": rep.value, "rhs": rep.rhs, "ratio": rep.ratio,
         "subgroup_max": sub.max_abs, "subgroup_lam": sub.lam,
         "subgroup_over_sqrt_p": sub.max_over_sqrt_p,
@@ -244,7 +243,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (EcsumprodError, ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
+    # ValueError covers a config's json.JSONDecodeError
+    except (EcsumprodError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

@@ -170,28 +170,23 @@ def scalar_mul(curve: CurveParams, k: int, point):
 
 
 def _half_squares(p: int):
-    """Blocks (y, y*y mod p) over y = 0 .. (p-1)/2; those squares are distinct.
-
-    Both arrays are reused from block to block: use a block before the next.
-    """
+    """Blocks (y, y*y mod p) of fresh arrays over y = 0 .. (p-1)/2; those
+    squares are distinct."""
     h = (p - 1) // 2
-    y = np.arange(min(BLOCK, h + 1), dtype=np.int64)
-    squares = np.empty_like(y)
     for lo in range(0, h + 1, BLOCK):
-        n = min(BLOCK, h + 1 - lo)
-        np.multiply(y[:n], y[:n], out=squares[:n])
+        y = np.arange(lo, min(lo + BLOCK, h + 1), dtype=np.int64)
+        squares = y * y
         squares %= p
-        yield y[:n], squares[:n]
-        y += BLOCK
+        yield y, squares
 
 
-def rhs_values(curve: CurveParams, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def rhs_values(curve: CurveParams, x: np.ndarray) -> np.ndarray:
     """x^3 + a4*x + a6 mod p for an int64 array of canonical x.
 
     Every product stays below p^2 < 2^62, so int64 never wraps. Updates
-    run in place on one temporary the size of x, or on out when given.
+    run in place on one temporary the size of x.
     """
-    f = np.multiply(x, x, out=out)
+    f = x * x
     f += curve.a4
     f %= curve.p
     f *= x
@@ -201,16 +196,10 @@ def rhs_values(curve: CurveParams, x: np.ndarray, out: np.ndarray | None = None)
 
 
 def _rhs_blocks(curve: CurveParams):
-    """Blocks (x0, rhs_values at x = x0, x0+1, ...) covering all of F_p.
-
-    The arrays are reused from block to block: use a block before the next.
-    """
-    x = np.arange(min(BLOCK, curve.p), dtype=np.int64)
-    f = np.empty_like(x)
+    """Blocks (x0, rhs_values at x = x0, x0+1, ...) of fresh arrays covering
+    all of F_p."""
     for x0 in range(0, curve.p, BLOCK):
-        n = min(BLOCK, curve.p - x0)
-        yield x0, rhs_values(curve, x[:n], out=f[:n])
-        x += BLOCK
+        yield x0, rhs_values(curve, np.arange(x0, min(x0 + BLOCK, curve.p), dtype=np.int64))
 
 
 def _root_counts(p: int) -> np.ndarray:

@@ -35,16 +35,18 @@ class ExtremalReport:
     size_t: int
     bound_2h_ok: bool | None  # #S <= 2H-1; only meaningful without wraparound
     bound_phi_ok: bool  # #T <= phi(T), always applicable
-    ratio: float | None  # max(#S, #T) / sqrt(p * #A); absent when A is empty
+    lhs: float  # max(#S, #T)
+    rhs: float | None  # sqrt(p * #A); absent when A is empty
+    ratio: float | None  # lhs / rhs; absent when A is empty
     predicted_size_a: float  # phi(T)^2 / (2p), the expected #A at H = phi(T)/2
 
 
 def extremal_report(table: OrbitTable, window: int | None = None) -> ExtremalReport:
     """Run the construction at the given window (default floor(phi(T)/2)).
 
-    An empty A is reported, not raised: sizes are zero and the ratio is
-    absent. bound_2h_ok is None when 2H - 2 wraps past p, since the
-    interval argument says nothing there.
+    An empty A is reported, not raised: sizes are zero, and rhs and the
+    ratio are absent. bound_2h_ok is None when 2H - 2 wraps past p, since
+    the interval argument says nothing there.
     """
     t, p = table.order, table.p
     phi = euler_phi(t)
@@ -56,9 +58,8 @@ def extremal_report(table: OrbitTable, window: int | None = None) -> ExtremalRep
     bound_2h = None
     if 2 * window - 2 < p:
         bound_2h = len(s_vals) <= max(0, 2 * window - 1)
-    ratio = None
-    if len(a_set):
-        ratio = max(len(s_vals), len(t_vals)) / math.sqrt(p * len(a_set))
+    lhs = float(max(len(s_vals), len(t_vals)))
+    rhs = math.sqrt(p * len(a_set)) if len(a_set) else None
     return ExtremalReport(
         h_window=window,
         size_a=len(a_set),
@@ -66,7 +67,9 @@ def extremal_report(table: OrbitTable, window: int | None = None) -> ExtremalRep
         size_t=len(t_vals),
         bound_2h_ok=bound_2h,
         bound_phi_ok=len(t_vals) <= phi,
-        ratio=ratio,
+        lhs=lhs,
+        rhs=rhs,
+        ratio=lhs / rhs if rhs else None,
         predicted_size_a=phi * phi / (2 * p),
     )
 

@@ -7,7 +7,7 @@ Everything here is pure, so tables built on top can be shared by workers.
 
 import operator
 
-from .errors import CapExceeded, ZeroInverse
+from .errors import ZeroInverse, check_cap
 
 # Desk-scale cap on the modulus: keeps a product of two canonical
 # representatives below 2^62 (relevant for ports with fixed-width ints) and
@@ -48,8 +48,7 @@ def validate_prime_modulus(p: int) -> int:
     """Check that p is a usable modulus: a prime with 5 <= p < 2^31."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise TypeError(f"modulus must be an int, got {type(p).__name__}")
-    if p >= MODULUS_CAP:
-        raise CapExceeded(f"modulus {p} is above the desk-scale cap 2^31")
+    check_cap("modulus", p, MODULUS_CAP - 1)
     if p < 5 or not is_prime(p):
         raise ValueError(f"modulus must be a prime >= 5, got {p}")
     return p

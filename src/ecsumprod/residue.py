@@ -94,16 +94,15 @@ def inv_mod(a: int, t: int) -> int:
     return pow(a, -1, t)
 
 
-def reduce_mod(k: np.ndarray, n: int, quot: np.ndarray | None = None) -> np.ndarray:
+def reduce_mod(k: np.ndarray, n: int) -> np.ndarray:
     """k mod n in place for an array k of nonnegative integers; returns k.
 
     k is int64, or uint32 for count_solutions' index products below 2^32.
     Taken as k - (k // n) * n: numpy divides by a scalar through a
     precomputed reciprocal, and np.remainder does not (33 against 67 us on
-    16k int64 elements). quot, a buffer of k's shape and dtype, takes the
-    quotient.
+    16k int64 elements). The quotient takes one temporary the size of k.
     """
-    quot = np.floor_divide(k, n, out=quot)
+    quot = k // n
     quot *= n
     k -= quot
     return k

@@ -246,16 +246,15 @@ def _run_experiment(config: SweepConfig, base: dict, summary, table) -> Experime
         rep = bilinear_ratio_scan(table, k_set, m_set, config.nu)
         return ExperimentRecord(
             **base,
-            sizeA=len(k_set), sizeB=len(m_set),
+            sizeA=rep.size_k, sizeB=rep.size_m,
             thm_lhs=rep.value, thm_rhs=rep.rhs, ratio=rep.ratio,
         )
 
     if config.mode == "theorem3":
         rep = extremal_report(table)
-        thm_rhs = math.sqrt(table.p * rep.size_a) if rep.size_a else None
         return ExperimentRecord(
             **base, **extremal_columns(rep),
-            sizeB=rep.size_a, thm_lhs=float(max(rep.size_s, rep.size_t)), thm_rhs=thm_rhs,
+            sizeB=rep.size_a, thm_lhs=rep.lhs, thm_rhs=rep.rhs,
             # An empty window is a result, not a failure: no class backs it.
             error="" if rep.size_a else "EmptyConstruction",
         )

@@ -71,6 +71,21 @@ def test_histogram_sums_of_a_zero_histogram():
         assert np.array_equal(histogram_sums(hist, [0, 1, 5, -3]), np.zeros(4, dtype=complex))
 
 
+def test_histogram_sums_copies_no_grid_without_empty_rows():
+    # verify's sum of psi over F_p: every row of the grid is live, so the
+    # grid (8p bytes) is the only p-sized array it may allocate
+    p = 1000003
+    hist = np.ones(p)
+    tracemalloc.start()
+    try:
+        total = histogram_sums(hist, [1])[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20
+    assert abs(total) < 1e-6
+
+
 def test_bilinear_matches_oracle(known_table):
     for lam in range(5):
         got = bilinear_sum(known_table, UNITS9, UNITS9, lam)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import ecsumprod.charsum as charsum_module
 import ecsumprod.cli as cli_module
 import ecsumprod.sumprod as sumprod_module
 from ecsumprod.cli import build_parser, main, parse_member_set
@@ -75,6 +76,14 @@ def test_curve_find_golden(capsys):
     ]
 
 
+def test_curve_find_rejects_a_negative_count(capsys):
+    code, out, err = run(capsys, ["curve", "find", "--p", "101", "--count", "-2"])
+    assert code == 2 and out == ""
+    assert err == "error: --count must be >= 0, got -2\n"
+    code, out, err = run(capsys, ["curve", "find", "--p", "101", "--count", "0"])
+    assert code == 0 and out == "p,a4,a6,N,t,ordinary,Px,Py,T\n"
+
+
 def test_readme_commands_parse():
     # the Command line block of the README must stay valid usage; parsed, not run
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -122,6 +131,24 @@ def test_charsum_known_row(capsys):
     assert row["value"] == pytest.approx(19.41640786499874)
     assert row["rhs"] == pytest.approx(46.89685380417448)
     assert row["subgroup_max"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_charsum_checks_each_set_once(capsys, monkeypatch):
+    # the row's sizeK and sizeM come from the scan's report, not from
+    # checking K and M again
+    real = charsum_module.check_unit_subset
+    calls = []
+
+    def spy(members, t):
+        calls.append(t)
+        return real(members, t)
+
+    for module in (charsum_module, cli_module):
+        monkeypatch.setattr(module, "check_unit_subset", spy, raising=False)
+    code, out, err = run(capsys, ["charsum", *KNOWN, "--setA", "1,2,2", "--format", "json"])
+    assert code == 0 and len(calls) == 2
+    row = json.loads(out)[0]
+    assert (row["sizeK"], row["sizeM"]) == (2, 6)
 
 
 def test_extremal_known_row(capsys):
@@ -232,11 +259,14 @@ def test_missing_required_args():
         main(["curve"])
 
 
-def test_sweep_csv_unchanged_under_optimize(tmp_path):
-    # invariants raise package errors rather than assert, so -O runs them too
+@pytest.mark.parametrize("mode", ["theorem1", "theorem2", "theorem3", "identities"])
+def test_every_mode_sweeps_the_same_csv_under_optimize(tmp_path, mode):
+    # invariants raise package errors rather than assert: -O strips asserts,
+    # so a check written as one would vanish there and could change a row
+    sets_per_curve = 2 if mode == "theorem2" else 1
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
-        "mode": "theorem2", "p_list": [101, 211], "sets_per_curve": 2, "master_seed": 5,
+        "mode": mode, "p_list": [101, 211], "sets_per_curve": sets_per_curve, "master_seed": 5,
     }))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ,
@@ -250,25 +280,4 @@ def test_sweep_csv_unchanged_under_optimize(tmp_path):
             env=env, check=True, timeout=120)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
-    assert outputs[0].count(b"\n") == 5
-
-
-@pytest.mark.parametrize("mode", ["theorem1", "theorem3", "identities"])
-def test_every_mode_sweeps_the_same_csv_under_optimize(tmp_path, mode):
-    # theorem2 is the case above; -O strips asserts, so a check written as
-    # one would vanish there and could change a row
-    cfg = tmp_path / "sweep.json"
-    cfg.write_text(json.dumps({"mode": mode, "p_list": [101, 211], "master_seed": 5}))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    outputs = []
-    for flags in ([], ["-O"]):
-        out = tmp_path / f"out{len(flags)}.csv"
-        subprocess.run(
-            [sys.executable, *flags, "-m", "ecsumprod.cli", "sweep",
-             "--config", str(cfg), "--out", str(out)],
-            env=env, check=True, timeout=120)
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
-    assert outputs[0].count(b"\n") == 3
+    assert outputs[0].count(b"\n") == 1 + 2 * sets_per_curve

@@ -231,6 +231,23 @@ def test_affine_points_match_enumeration(monkeypatch, p, block):
     assert tried >= 5
 
 
+@pytest.mark.parametrize("p", [13, 101])
+def test_block_generators_yield_arrays_that_outlive_the_next_block(monkeypatch, p):
+    # kept blocks, concatenated, must equal the one-shot tables
+    curve = CurveParams(p, 2, 3)
+    monkeypatch.setattr(curve_module, "BLOCK", 3)
+    rhs_blocks = list(curve_module._rhs_blocks(curve))
+    half_squares = list(curve_module._half_squares(p))
+    assert len(rhs_blocks) > 2 and len(half_squares) > 2
+    x = np.arange(p, dtype=np.int64)
+    assert [x0 for x0, _ in rhs_blocks] == list(range(0, p, 3))
+    assert np.array_equal(np.concatenate([f for _, f in rhs_blocks]),
+                          (x ** 3 + 2 * x + 3) % p)
+    y = np.arange((p + 1) // 2, dtype=np.int64)
+    assert np.array_equal(np.concatenate([b for b, _ in half_squares]), y)
+    assert np.array_equal(np.concatenate([sq for _, sq in half_squares]), y * y % p)
+
+
 def test_affine_points_cap(monkeypatch):
     monkeypatch.setattr(curve_module, "ENUMERATION_CAP", 50)
     with pytest.raises(CapExceeded, match="point enumeration needs p <= 50, got 101"):
@@ -251,8 +268,8 @@ def test_max_order_point_lists_no_points(monkeypatch):
 
 def test_max_order_point_memory_at_p_1000003():
     # The point list took 121 p bytes here. The index holds p bytes of
-    # counts and builds them from p bytes of root counts and two reused
-    # int64 blocks; locating a point takes one more block.
+    # counts and builds them from p bytes of root counts and int64 blocks;
+    # locating a point takes one more block.
     p = 1_000_003
     rng = SplitMix64(3)
     curve, summary = random_curve(p, rng)

@@ -81,5 +81,8 @@ def test_validate_prime_modulus():
         validate_prime_modulus(3)  # prime but below 5
     with pytest.raises(CapExceeded):
         validate_prime_modulus(MODULUS_CAP + 1)
+    # the package's one cap guard, errors.check_cap, words the message
+    with pytest.raises(CapExceeded, match=r"^modulus needs p <= 2147483647, got 2147483648$"):
+        validate_prime_modulus(2**31)
     with pytest.raises(TypeError):
         validate_prime_modulus(5.0)

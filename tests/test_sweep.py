@@ -8,8 +8,11 @@ import ecsumprod.sampling as sampling_module
 import ecsumprod.sweep as sweep_module
 from ecsumprod import (
     RECORD_FIELDS,
+    CurveParams,
     ExperimentRecord,
     TooLarge,
+    build_orbit,
+    extremal_report,
     parse_config,
     render_csv,
     render_json,
@@ -262,7 +265,9 @@ def test_sweep_theorem1_columns():
 
 
 def test_sweep_theorem3_columns():
-    rows = run_sweep(config(mode="theorem3", p_list=[101, 151]))
+    # the first curve at p = 5 has an empty window
+    rows = run_sweep(config(mode="theorem3", p_list=[5, 101, 151]))
+    assert rows[0].error == "EmptyConstruction"
     for rec in rows:
         assert rec.H is not None
         assert rec.predicted_sizeA is not None
@@ -271,6 +276,11 @@ def test_sweep_theorem3_columns():
         if rec.error == "":
             assert rec.sizeA_over_predicted == pytest.approx(
                 rec.sizeA / rec.predicted_sizeA)
+        # the row's theorem-3 pair and ratio are the report's own
+        table = build_orbit(CurveParams(rec.p, rec.a4, rec.a6), (rec.Px, rec.Py), rec.T)
+        rep = extremal_report(table)
+        assert (rec.thm_lhs, rec.thm_rhs, rec.ratio) == (rep.lhs, rep.rhs, rep.ratio)
+    assert rows[0].thm_rhs is None and rows[0].ratio is None
 
 
 def test_empty_p_list():
