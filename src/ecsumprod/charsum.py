@@ -87,23 +87,11 @@ def histogram_sums(hist: np.ndarray, lams) -> np.ndarray:
     return sums
 
 
-def _weight_vector(weights, members) -> np.ndarray | None:
-    """Materialize an optional weight map over a member array; |w| <= 1."""
-    if weights is None:
-        return None
-    vec = np.array([complex(weights.get(m, 1.0)) for m in members.tolist()])
-    if np.any(np.abs(vec) > 1 + 1e-9):
-        raise ValueError("weights must have modulus at most 1")
-    return vec
-
-
-def bilinear_sum(table: OrbitTable, k_set, m_set, lam: int,
-                 rho=None, theta=None) -> float:
-    """sum over k of | rho(k) * sum over m of theta(m) * psi_lambda(x(kmP)) |.
+def bilinear_sum(table: OrbitTable, k_set, m_set, lam: int) -> float:
+    """sum over k of | sum over m of psi_lambda(x(kmP)) |, unit weights.
 
     k*m mod T never hits 0 for unit k, m, so every index has an
-    x-coordinate. Default weights are the constant 1; pass dicts keyed by
-    set members to override (moduli must stay <= 1).
+    x-coordinate.
     """
     t, p = table.order, table.p
     k_set = check_unit_subset(k_set, t)
@@ -111,15 +99,7 @@ def bilinear_sum(table: OrbitTable, k_set, m_set, lam: int,
     if not len(k_set) or not len(m_set):
         return 0.0
     xmat = table.xs[(k_set[:, None] * m_set[None, :]) % t - 1]
-    phases = _roots(lam % p * xmat % p, p)
-    theta_vec = _weight_vector(theta, m_set)
-    if theta_vec is not None:
-        phases = phases * theta_vec[None, :]
-    inner = phases.sum(axis=1)
-    rho_vec = _weight_vector(rho, k_set)
-    if rho_vec is not None:
-        inner = inner * rho_vec
-    return float(np.abs(inner).sum())
+    return float(np.abs(_roots(lam % p * xmat % p, p).sum(axis=1)).sum())
 
 
 def bilinear_sum_bound(nu: int, size_k: int, size_m: int, order: int, q: int) -> float:

@@ -48,8 +48,6 @@ SET_HELP = "members split by commas or whitespace, or @file with the same"
 
 def parse_member_set(text):
     """--setA/--setB values: members split by commas or any whitespace, or @file."""
-    if text is None:
-        return None
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -94,7 +92,7 @@ def resolve_instance(args):
         curve = CurveParams(args.p, args.a4, args.a6)
         summary = curve_summary(curve)
     else:
-        curve, summary = random_curve(args.p, rng, require_ordinary=True)
+        curve, summary = random_curve(args.p, rng)
     if (args.px is None) != (args.py is None):
         raise ValueError("give both --px and --py, or neither")
     if args.px is not None:

@@ -17,7 +17,6 @@ import traceback
 from dataclasses import asdict, dataclass, fields
 
 from .charsum import SCAN_CAP, bilinear_ratio_scan
-from .curve import ENUMERATION_CAP
 from .errors import EcsumprodError, check_cap
 from .extremal import extremal_report
 from .field import is_prime
@@ -48,8 +47,6 @@ class SweepConfig:
     set_size_rule: tuple[str, float]  # ("fixed", k) or ("fraction", f)
     nu: int
     master_seed: int
-    enumeration_cap: int
-    scan_cap: int
 
     def primes(self) -> tuple[int, ...]:
         if self.p_list is not None:
@@ -81,11 +78,9 @@ def parse_config(data: dict) -> SweepConfig:
       set_size_rule   {"fixed": k>=1} or {"fraction": 0<f<=1}, default fraction 0.5
       nu              int >= 1, default 1
       master_seed     int in [0, 2^64), default 0
-      enumeration_cap int in [5, 10^7], default 10^7 (point enumeration)
-      scan_cap        int in [5, 10^5], default 10^5 (full character scans)
 
-    The caps can lower the package's own caps, curve.ENUMERATION_CAP and
-    charsum.SCAN_CAP, never raise them.
+    The caps on p are the package's, curve.ENUMERATION_CAP and
+    charsum.SCAN_CAP; a config cannot set them.
     """
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
@@ -114,16 +109,10 @@ def parse_config(data: dict) -> SweepConfig:
             raise ValueError("p_range must be [lo, hi] with lo <= hi")
         p_range = (raw[0], raw[1])
 
-    def _positive_int(key, default, minimum=1):
+    def _positive_int(key, default):
         v = data.get(key, default)
-        if not _is_int(v) or v < minimum:
-            raise ValueError(f"{key} must be an int >= {minimum}, got {v!r}")
-        return v
-
-    def _cap(key, package_cap):
-        v = _positive_int(key, package_cap, minimum=5)
-        if v > package_cap:
-            raise ValueError(f"{key} must be at most the package cap {package_cap}, got {v}")
+        if not _is_int(v) or v < 1:
+            raise ValueError(f"{key} must be an int >= 1, got {v!r}")
         return v
 
     rule_raw = data.get("set_size_rule", {"fraction": 0.5})
@@ -151,8 +140,6 @@ def parse_config(data: dict) -> SweepConfig:
         set_size_rule=(kind, float(value)),
         nu=_positive_int("nu", 1),
         master_seed=master_seed,
-        enumeration_cap=_cap("enumeration_cap", ENUMERATION_CAP),
-        scan_cap=_cap("scan_cap", SCAN_CAP),
     )
 
 
@@ -240,7 +227,7 @@ def _run_experiment(config: SweepConfig, base: dict, summary, table) -> Experime
         return ExperimentRecord(**base, **sumprod_columns(rep))
 
     if config.mode == "theorem1":
-        check_cap("full character scan", table.p, config.scan_cap)
+        check_cap("full character scan", table.p, SCAN_CAP)
         k_set = sample_unit_subset(table.order, k, derive_seed(seed, 1))
         m_set = sample_unit_subset(table.order, k, derive_seed(seed, 2))
         rep = bilinear_ratio_scan(table, k_set, m_set, config.nu)
@@ -283,9 +270,10 @@ def run_sweep(config: SweepConfig) -> list[ExperimentRecord]:
     exception class, whatever the class (MemoryError included); only
     KeyboardInterrupt and SystemExit, which are not Exceptions, stop the
     sweep. An exception from outside the package is unexpected, so its
-    traceback also goes to stderr. A p above config.enumeration_cap fails
-    its curves before any draw, and one above config.scan_cap fails each
-    theorem1 cell before its sets are drawn, both with CapExceeded.
+    traceback also goes to stderr. A p above curve.ENUMERATION_CAP fails
+    its curves in curve_summary, before any p-length allocation, and one
+    above charsum.SCAN_CAP fails each theorem1 cell before its sets are
+    drawn, both with CapExceeded.
     """
     records = []
     exp_id = 0
@@ -294,7 +282,6 @@ def run_sweep(config: SweepConfig) -> list[ExperimentRecord]:
             prep_error = ""
             try:
                 seed = derive_seed(config.master_seed, p, c_idx)
-                check_cap("point enumeration", p, config.enumeration_cap)
                 curve, summary, point, order = discover_instance(p, seed)
                 table = build_orbit(curve, point, order)
                 columns = instance_columns(curve, summary, point, order)

@@ -76,17 +76,15 @@ def oracle_mobius(n):
     return -1 if count % 2 else 1
 
 
-def naive_bilinear(table, k_set, m_set, lam, rho=None, theta=None):
+def naive_bilinear(table, k_set, m_set, lam):
     """The double loop with cmath, exactly as the definition reads."""
     total = 0.0
     for k in k_set:
         inner = 0j
         for m in m_set:
             x = table.xs[(k * m) % table.order - 1]
-            w = 1.0 if theta is None else theta.get(m, 1.0)
-            inner += w * cmath.exp(2j * cmath.pi * lam * x / table.p)
-        w = 1.0 if rho is None else rho.get(k, 1.0)
-        total += abs(w * inner)
+            inner += cmath.exp(2j * cmath.pi * lam * x / table.p)
+        total += abs(inner)
     return total
 
 

@@ -218,12 +218,9 @@ def test_criterion_09_sweep_contract():
         })
         assert render_csv(run_sweep(cfg)).encode() == render_csv(run_sweep(cfg)).encode()
 
-        crash = parse_config({
-            "mode": "theorem2", "p_list": [101, 5],
-            "master_seed": 1, "enumeration_cap": 50,
-        })
+        crash = parse_config({"mode": "theorem2", "p_list": [10000019, 5], "master_seed": 1})
         rows = run_sweep(crash)
-        assert rows[0].error == "CapExceeded" and rows[0].p == 101
+        assert rows[0].error == "CapExceeded" and rows[0].p == 10000019
         assert rows[1].error == "" and rows[1].p == 5
 
         ids = parse_config({

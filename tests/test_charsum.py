@@ -93,16 +93,6 @@ def test_bilinear_matches_oracle(known_table):
         assert got == pytest.approx(want, abs=1e-9)
 
 
-def test_bilinear_weighted(known_table):
-    rho = {1: 0.5, 2: -1.0, 4: 0.25j}
-    theta = {5: cmath.exp(0.3j), 7: 0.0}
-    got = bilinear_sum(known_table, UNITS9, UNITS9, 2, rho=rho, theta=theta)
-    want = naive_bilinear(known_table, UNITS9, UNITS9, 2, rho=rho, theta=theta)
-    assert got == pytest.approx(want, abs=1e-9)
-    with pytest.raises(ValueError):
-        bilinear_sum(known_table, UNITS9, UNITS9, 2, rho={1: 1.5})
-
-
 def test_bilinear_trivial_character(known_table):
     # lambda = 0 makes every phase 1, so the sum is exactly #K * #M
     assert bilinear_sum(known_table, UNITS9, UNITS9, 0) == pytest.approx(36.0, abs=1e-9)
@@ -527,6 +517,9 @@ def test_bilinear_scan_block_memory_at_p_10007():
     table = _table(10007, 1)
     k = sample_unit_subset(table.order, 40, 1)
     m = sample_unit_subset(table.order, 40, 2)
+    # an untraced call first, so first-call allocations (numpy's FFT plan
+    # cache and the like) stay out of the traced peak
+    bilinear_ratio_scan(table, k, m, nu=2)
     tracemalloc.start()
     try:
         bilinear_ratio_scan(table, k, m, nu=2)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -55,7 +56,6 @@ def test_parse_config_defaults():
     assert cfg.set_size_rule == ("fraction", 0.5)
     assert cfg.nu == 1
     assert cfg.master_seed == 42
-    assert (cfg.enumeration_cap, cfg.scan_cap) == (10**7, 10**5)  # the package caps
 
 
 def test_parse_config_rejections():
@@ -80,9 +80,9 @@ def test_parse_config_rejections():
         {**BASE, "master_seed": 1 << 64},
         {**BASE, "master_seed": True},
         {**BASE, "nu": 0},
-        {**BASE, "enumeration_cap": 4},
-        {**BASE, "enumeration_cap": 10**7 + 1},  # config caps only lower the package caps
-        {**BASE, "scan_cap": 10**5 + 1},
+        # the caps are the package's, not config keys
+        {**BASE, "enumeration_cap": 50},
+        {**BASE, "scan_cap": 50},
         "not a dict",
     ]
     for data in bad:
@@ -154,23 +154,17 @@ def test_sweep_rows_populated():
 
 
 def test_sweep_crash_isolation():
-    # p = 101 cannot be enumerated under a cap of 50; p = 5 still succeeds
-    cfg = parse_config({
-        "mode": "theorem2", "p_list": [101, 5],
-        "master_seed": 1, "enumeration_cap": 50,
-    })
+    # p = 10000019 is above curve.ENUMERATION_CAP; p = 5 still succeeds
+    cfg = parse_config({"mode": "theorem2", "p_list": [10000019, 5], "master_seed": 1})
     rows = run_sweep(cfg)
     assert len(rows) == 2
-    assert rows[0].p == 101 and rows[0].error == "CapExceeded"
+    assert rows[0].p == 10000019 and rows[0].error == "CapExceeded"
     assert rows[0].a4 is None
     assert rows[1].p == 5 and rows[1].error == ""
     assert [r.experiment_id for r in rows] == [0, 1]
 
 
-def test_capped_curve_fails_before_any_draw(monkeypatch):
-    def no_draw(*args, **kwargs):
-        raise RuntimeError("random_curve was called")
-
+def test_capped_curve_fails_before_any_p_length_allocation(monkeypatch):
     seeds = []
     derive_seed = sweep_module.derive_seed
 
@@ -178,13 +172,19 @@ def test_capped_curve_fails_before_any_draw(monkeypatch):
         seeds.append(args)
         return derive_seed(*args)
 
-    monkeypatch.setattr(sampling_module, "random_curve", no_draw)
     monkeypatch.setattr(sweep_module, "derive_seed", recording_derive_seed)
-    rows = run_sweep(config(p_list=[101], sets_per_curve=2, enumeration_cap=50))
-    assert [(r.p, r.error) for r in rows] == [(101, "CapExceeded")] * 2
+    tracemalloc.start()
+    try:
+        rows = run_sweep(config(p_list=[10000019], sets_per_curve=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(r.p, r.error) for r in rows] == [(10000019, "CapExceeded")] * 2
+    # curve_summary's counts alone would take 10 MB at this p
+    assert peak < 1 << 20
     # the curve's seed is derived before the check, as the benchmark's
     # cell marker expects
-    assert seeds[0] == (42, 101, 0)
+    assert seeds[0] == (42, 10000019, 0)
 
 
 def test_capped_scan_fails_before_any_set_is_drawn(monkeypatch):
@@ -192,8 +192,9 @@ def test_capped_scan_fails_before_any_set_is_drawn(monkeypatch):
         raise RuntimeError("sample_unit_subset was called")
 
     monkeypatch.setattr(sweep_module, "sample_unit_subset", no_draw)
-    rows = run_sweep(config(mode="theorem1", p_list=[101, 5], scan_cap=50))
-    assert [(r.p, r.error) for r in rows] == [(101, "CapExceeded"), (5, "RuntimeError")]
+    # p = 100003 is above charsum.SCAN_CAP but within the enumeration cap
+    rows = run_sweep(config(mode="theorem1", p_list=[100003, 5]))
+    assert [(r.p, r.error) for r in rows] == [(100003, "CapExceeded"), (5, "RuntimeError")]
     assert rows[0].a4 is not None and rows[0].thm_lhs is None
 
 
@@ -202,7 +203,7 @@ def test_sweep_prep_failure_of_any_class(monkeypatch, capsys):
         raise RuntimeError("no curve today")
 
     # a package error such as CapExceeded is an expected outcome: no traceback
-    assert run_sweep(config(p_list=[101], enumeration_cap=50))[0].error == "CapExceeded"
+    assert run_sweep(config(p_list=[10000019]))[0].error == "CapExceeded"
     assert capsys.readouterr().err == ""
     monkeypatch.setattr(sampling_module, "random_curve", broken_random_curve)
     rows = run_sweep(config(sets_per_curve=2))
@@ -297,6 +298,19 @@ def test_readme_csv_header_is_record_fields():
     after = readme.split("Output columns, in wire order", 1)[1]
     block = after.split("```", 2)[1]
     assert block.strip() == ",".join(RECORD_FIELDS)
+
+
+def test_config_docs_match_the_config_keys():
+    # README's "Sweep configs" section and parse_config's schema name
+    # exactly the keys that parse_config accepts
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Sweep configs", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```json", 1)[1].split("```", 1)[0]
+    parse_config(json.loads(example))
+    keys = sweep_module._CONFIG_KEYS
+    assert {k for k in keys if f"`{k}`" in section} == keys
+    schema = parse_config.__doc__.split("Schema (JSON object):\n", 1)[1].split("\n\n", 1)[0]
+    assert sorted(line.split()[0] for line in schema.splitlines()) == sorted(keys)
 
 
 def test_csv_shape():
