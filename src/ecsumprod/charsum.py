@@ -1,15 +1,15 @@
 """Additive character sums over orbit x-coordinates.
 
-The character psi_lambda(z) = exp(2*pi*i*lambda*z/p). Each sum here is
-that of a histogram on F_p, sum_z hist[z] psi_lambda(z). At sampled
-lambdas, histogram_sums factors psi_lambda(W*z1 + z0) into
-psi_lambda(W*z1) * psi_lambda(z0) with W about sqrt(p), so each lambda
-needs about 2 sqrt(p) roots and no p-length table. At every lambda the
-sums are conj(fft(hist))[lambda], which pocketfft computes in
-O(p log p) for prime p too (Bluestein's chirp-z). A real histogram makes the sum at p - lambda the conjugate of
-the sum at lambda, so scans visit lambda in [1, (p-1)/2] only. The same
-symmetry lets one complex transform carry two real histograms, as its
-real and imaginary parts; the full scans pack their rows that way.
+The character psi_lambda(z) = exp(2*pi*i*lambda*z/p). Each sum here is that
+of a histogram on F_p, sum_z hist[z] psi_lambda(z). At sampled lambdas,
+histogram_sums factors psi_lambda(W*z1 + z0) into psi_lambda(W*z1) *
+psi_lambda(z0) with W about sqrt(p), so each lambda needs about 2 sqrt(p)
+roots and no p-length table. At every lambda the sums are
+conj(fft(hist))[lambda], which pocketfft computes in O(p log p) for prime p
+too (Bluestein's chirp-z). A real histogram makes the sum at p - lambda the
+conjugate of the sum at lambda, so scans visit lambda in [1, (p-1)/2] only.
+The same symmetry lets one complex transform carry two real histograms, as
+its real and imaginary parts; the full scans pack their rows that way.
 
 Orthogonality, (1/p) * sum_lambda psi_lambda(z) = [z = 0], is what turns
 solution counting into the factored spectra in solutions_spectrum.

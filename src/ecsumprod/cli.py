@@ -51,14 +51,23 @@ def parse_member_set(text):
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read()
-    return [int(tok) for tok in re.split(r"[,\s]+", text) if tok]
+    members = []
+    for tok in filter(None, re.split(r"[,\s]+", text)):
+        try:
+            members.append(int(tok))
+        except ValueError:
+            raise ValueError(f"member {tok!r} is not an integer") from None
+    return members
 
 
 def _member_set_or_units(text, flag, order):
     """A --setA/--setB set, or every unit of Z_T when the flag is absent."""
     if text is None:
         return units_of(order)
-    members = parse_member_set(text)
+    try:
+        members = parse_member_set(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {exc}") from None
     if not members:
         raise ValueError(f"{flag} gives an empty set; leave it out to use all units")
     return members

@@ -2,15 +2,15 @@
 
 A table is built once by a vectorised half walk and shared read-only
 afterwards; every sum, count and character evaluation in the package reads
-from it. Its x-values are stored once, as the read-only int64 array xs;
-equality compares the header fields and that array, and the hash reads
-the header fields only, so neither builds a T-length object. The walk
-computes kP for k <= T/2 only, on a baby/giant grid: L baby steps iP and
-about T/(2L) giant steps jL*P by the affine law, then every other kP as a
-baby plus a giant step, many lanes per numpy call, with one product-tree
-inversion per call. It mirrors the rest through x(kP) = x((T-k)P). The
-identity T*P has no x-coordinate by design, so index k = 0 (mod T) is an
-error rather than a sentinel value.
+from it. Its x-values are stored once, as the read-only int64 array xs,
+the walk's only array of its length; equality compares the header fields
+and that array, and the hash reads the header fields only, so neither
+builds a T-length object. The walk computes kP for k <= T/2 only, on a
+baby/giant grid: L baby steps iP and about T/(2L) giant steps jL*P by the
+affine law, then every other kP as a baby plus a giant step, many lanes
+per numpy call, with one product-tree inversion per call. It mirrors the
+rest through x(kP) = x((T-k)P). The identity T*P has no x-coordinate by
+design, so index k = 0 (mod T) is an error rather than a sentinel value.
 """
 
 import math
@@ -179,12 +179,12 @@ def build_orbit(curve: CurveParams, point, order: int) -> OrbitTable:
     call up to GRID_LANES, with one product-tree inversion per call. It
     checks that no walked point is the identity, that every walked point
     lies on the curve, and the half-point relation: (T/2)P has y = 0 for
-    even T, ((T+1)/2)P = -((T-1)/2)P for odd T. Hence T*P = O while kP is
-    affine for every proper divisor k of T, so T is the exact order;
-    otherwise OrderMismatch. The rest mirrors through x(kP) = x((T-k)P).
-    The walk never calls scalar_mul, so a check of the table against
-    scalar_mul (verify's orbit spot values) compares two independent
-    routes.
+    even T; for odd T, ((T+1)/2)P and ((T-1)/2)P share an x and differ by
+    P != O, so one is minus the other. Hence T*P = O while kP is affine
+    for every proper divisor k of T, so T is the exact order; otherwise
+    OrderMismatch. The rest mirrors through x(kP) = x((T-k)P). The walk
+    never calls scalar_mul, so a check of the table against scalar_mul
+    (verify's orbit spot values) compares two independent routes.
     """
     if point is INFINITY:
         raise NotOnCurve("orbit needs an affine base point, not the identity")
@@ -197,26 +197,22 @@ def build_orbit(curve: CurveParams, point, order: int) -> OrbitTable:
     half = order // 2
     walked = order - half  # floor(T/2), plus the step to (T+1)/2 when T is odd
     xs = np.empty(order - 1, dtype=np.int64)  # the walk fills xs[:walked]
-    ys = np.empty(walked, dtype=np.int64)
     lanes = min(LANES, math.isqrt(walked - 1) + 1)
     rows = -(-walked // lanes)  # row j holds kP for k = jL + 1 .. jL + L
     baby = _affine_steps(curve, point, point, lanes)
     step = tuple(baby[-1].tolist())  # L*P
     giant = _affine_steps(curve, step, step, rows - 1)  # jL*P for j = 1 .. rows-1
-    xs[:lanes], ys[:lanes] = baby.T
-    _require_walk_on_curve(curve, xs[:lanes], ys[:lanes])
+    xs[:lanes], y = baby.T
+    _require_walk_on_curve(curve, xs[:lanes], y)
     per_call = max(1, min(rows - 1, GRID_LANES // lanes))  # rows per vectorised call
-    bx, by = np.tile(xs[:lanes], per_call), np.tile(ys[:lanes], per_call)
+    bx, by = np.tile(xs[:lanes], per_call), np.tile(y, per_call)
     for j in range(1, rows, per_call):
         lo, hi = j * lanes, min((j + per_call) * lanes, walked)
         gx, gy = (np.repeat(g, lanes)[:hi - lo] for g in giant[j - 1:j - 1 + per_call].T)
-        xs[lo:hi], ys[lo:hi] = _add_point(curve, bx[:hi - lo], by[:hi - lo], gx, gy)
-        _require_walk_on_curve(curve, xs[lo:hi], ys[lo:hi])
-    if order % 2 == 0:
-        at_half = ys[half - 1] == 0
-    else:
-        at_half = (xs[half] == xs[half - 1] and ys[half] != 0
-                   and (ys[half] + ys[half - 1]) % p == 0)
+        xs[lo:hi], y = _add_point(curve, bx[:hi - lo], by[:hi - lo], gx, gy)
+        _require_walk_on_curve(curve, xs[lo:hi], y)
+    # y[-1] is the y of the last walked point, k = walked
+    at_half = y[-1] == 0 if order % 2 == 0 else xs[half] == xs[half - 1]
     if not at_half:
         raise OrderMismatch(f"{order} * {point} is not the identity")
     xs[half:] = xs[:order - 1 - half][::-1]  # x(kP) = x((T-k)P); the ranges are disjoint

@@ -63,12 +63,12 @@ def max_order_point(curve: CurveParams, n_points: int, rng: SplitMix64):
 
     Draws with replacement from the affine points, ordered by x ascending
     and over each x with the smaller root y of f(x) before p - y, and keeps
-    the first point attaining the largest order seen. Returns (point, order). The points are indexed
-    through AffinePoints (p bytes, refused for p above
-    curve.ENUMERATION_CAP), never listed. All draws are taken before any
-    order is computed, so the rng advances the same whatever the orders;
-    points and orders are then computed in draw order up to the first
-    point of order n_points, which no later sample can beat.
+    the first point attaining the largest order seen. Returns (point,
+    order). The points are indexed through AffinePoints (p bytes, refused
+    for p above curve.ENUMERATION_CAP), never listed. All draws are taken
+    before any order is computed, so the rng advances the same whatever
+    the orders; points and orders are then computed in draw order up to
+    the first point of order n_points, which no later sample can beat.
     """
     affine = AffinePoints(curve)
     if not len(affine):

@@ -217,25 +217,6 @@ def extremal_columns(rep) -> dict:
 
 def _run_experiment(config: SweepConfig, base: dict, summary, table) -> ExperimentRecord:
     seed = base["seed"]
-    phi = euler_phi(table.order)
-    k = config.set_size(phi)
-
-    if config.mode == "theorem2":
-        a_set = sample_unit_subset(table.order, k, derive_seed(seed, 1))
-        b_set = sample_unit_subset(table.order, k, derive_seed(seed, 2))
-        rep = sum_product_report(table, a_set, b_set)
-        return ExperimentRecord(**base, **sumprod_columns(rep))
-
-    if config.mode == "theorem1":
-        check_cap("full character scan", table.p, SCAN_CAP)
-        k_set = sample_unit_subset(table.order, k, derive_seed(seed, 1))
-        m_set = sample_unit_subset(table.order, k, derive_seed(seed, 2))
-        rep = bilinear_ratio_scan(table, k_set, m_set, config.nu)
-        return ExperimentRecord(
-            **base,
-            sizeA=rep.size_k, sizeB=rep.size_m,
-            thm_lhs=rep.value, thm_rhs=rep.rhs, ratio=rep.ratio,
-        )
 
     if config.mode == "theorem3":
         rep = extremal_report(table)
@@ -246,12 +227,29 @@ def _run_experiment(config: SweepConfig, base: dict, summary, table) -> Experime
             error="" if rep.size_a else "EmptyConstruction",
         )
 
-    # identities mode
-    checks = run_identity_suite(table, summary.n_points, seed)
-    failed = [c.name for c in checks if not c.ok]
+    if config.mode == "identities":
+        checks = run_identity_suite(table, summary.n_points, seed)
+        failed = [c.name for c in checks if not c.ok]
+        return ExperimentRecord(
+            **base,
+            error="IdentityViolation:" + ",".join(failed) if failed else "",
+        )
+
+    # theorem1 and theorem2 draw two unit subsets of Z_T; a theorem1 cell
+    # above the scan cap fails before it draws them
+    if config.mode == "theorem1":
+        check_cap("full character scan", table.p, SCAN_CAP)
+    k = config.set_size(euler_phi(table.order))
+    a_set = sample_unit_subset(table.order, k, derive_seed(seed, 1))
+    b_set = sample_unit_subset(table.order, k, derive_seed(seed, 2))
+    if config.mode == "theorem2":
+        rep = sum_product_report(table, a_set, b_set)
+        return ExperimentRecord(**base, **sumprod_columns(rep))
+    rep = bilinear_ratio_scan(table, a_set, b_set, config.nu)
     return ExperimentRecord(
         **base,
-        error="IdentityViolation:" + ",".join(failed) if failed else "",
+        sizeA=rep.size_k, sizeB=rep.size_m,
+        thm_lhs=rep.value, thm_rhs=rep.rhs, ratio=rep.ratio,
     )
 
 

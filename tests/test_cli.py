@@ -93,6 +93,16 @@ def test_readme_commands_parse():
     assert commands == {"curve", "verify", "sumprod", "charsum", "extremal", "sweep"}
 
 
+def test_readme_layout_names_every_module():
+    # the Layout block lists exactly the package's modules, __init__ aside
+    root = Path(__file__).resolve().parent.parent
+    block = (root / "README.md").read_text().split("## Layout", 1)[1].split("```", 2)[1]
+    listed = [line.split()[0] for line in block.splitlines() if line.startswith("  ")
+              and line.split()[0].endswith(".py")]
+    modules = {f.name for f in (root / "src" / "ecsumprod").glob("*.py")} - {"__init__.py"}
+    assert sorted(listed) == sorted(modules)
+
+
 def test_verify_text(capsys):
     code, out, err = run(capsys, ["verify", *KNOWN])
     assert code == 0
@@ -236,6 +246,18 @@ def test_exit_two_on_explicit_empty_set(tmp_path, capsys, command, flag, source)
     (tmp_path / "b.txt").write_bytes(b" \t\r\n")
     code, out, err = run(capsys, [command, *KNOWN, flag, value[source]])
     assert code == 2 and out == "" and flag in err
+
+
+@pytest.mark.parametrize("command", ["sumprod", "charsum"])
+@pytest.mark.parametrize("flag", ["--setA", "--setB"])
+@pytest.mark.parametrize("source", ["text", "file"])
+def test_exit_two_on_non_integer_member(tmp_path, capsys, command, flag, source):
+    # the message names the flag and the member, for inline and @file lists
+    (tmp_path / "m.txt").write_text("1\n1.5\n")
+    value = {"text": "1,1.5", "file": "@" + str(tmp_path / "m.txt")}[source]
+    code, out, err = run(capsys, [command, *KNOWN, flag, value])
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} member '1.5' is not an integer\n"
 
 
 def test_exit_two_on_half_specified_instance(capsys):

@@ -215,8 +215,8 @@ def test_walk_off_the_curve_in_a_later_grid_call(monkeypatch, corrupt):
 
 
 def test_walk_memory_at_p_1000003():
-    # the on-curve check runs per grid call: no walk-length temporaries
-    # beside the table and the walked y-values
+    # the table is the walk's only walk-length array: the y-values and the
+    # on-curve check's temporaries are the size of one grid call
     curve, _, point, order = discover_instance(1_000_003, 1)
     tracemalloc.start()
     try:
@@ -224,8 +224,7 @@ def test_walk_memory_at_p_1000003():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    walk = table.xs.nbytes + 8 * (order - order // 2)
-    assert peak < walk + 4 * 2**20
+    assert peak < table.xs.nbytes + 4 * 2**20
 
 
 def test_build_orbit_calls_no_scalar_mul(monkeypatch):
