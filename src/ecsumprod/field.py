@@ -18,9 +18,11 @@ _MR_WITNESSES = (2, 7, 61)  # deterministic for all n < 4_759_123_141 > 2^32
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; valid for every n below 4_759_123_141."""
+    """Deterministic Miller-Rabin, exact below 4_759_123_141; ValueError from there."""
     if n < 2:
         return False
+    if n >= 4_759_123_141:  # = 48781 * 97561, a strong pseudoprime to the witnesses
+        raise ValueError(f"is_prime is exact only below 4759123141, got {n}")
     for small in (2, 3, 5, 7, 11, 13):
         if n % small == 0:
             return n == small

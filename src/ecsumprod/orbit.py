@@ -3,9 +3,11 @@
 A table is built once by a vectorised half walk and shared read-only
 afterwards; every sum, count and character evaluation in the package reads
 from it. Its x-values are stored once, as the read-only int64 array xs,
-the walk's only array of its length; equality compares the header fields
-and that array, and the hash reads the header fields only, so neither
-builds a T-length object. The walk computes kP for k <= T/2 only, on a
+the walk's only array of its length. The table is a plain frozen
+dataclass: the header (p, a4, a6, P, T) fixes every x(kP), so equality
+and the hash read the header alone, and the constructor checks xs (a
+read-only int64 array of length T-1 with values in [0, p)) without
+copying it. The walk computes kP for k <= T/2 only, on a
 baby/giant grid: L baby steps iP and about T/(2L) giant steps jL*P by the
 affine law, then every other kP as a baby plus a giant step, many lanes
 per numpy call, with one product-tree inversion per call. It mirrors the
@@ -14,7 +16,7 @@ design, so index k = 0 (mod T) is an error rather than a sentinel value.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,38 +46,16 @@ class OrbitTable:
     px: int
     py: int
     order: int  # exact order T of the base point
-    xs: np.ndarray  # read-only int64, xs[k-1] = x(kP), length order-1
+    # read-only int64, xs[k-1] = x(kP); not compared, as the header fixes it
+    xs: np.ndarray = field(compare=False)
 
     def __post_init__(self):
         xs = self.xs
-        if not isinstance(xs, np.ndarray) or xs.dtype != np.int64 or xs.flags.writeable:
-            # a private copy, so the table cannot change under its readers
-            try:
-                xs = np.array(xs, dtype=np.int64)
-            except OverflowError:  # a value beyond int64 is beyond F_p
-                raise ValueError("x-value out of field range") from None
-            xs.flags.writeable = False
-            object.__setattr__(self, "xs", xs)
-
-    def _header(self) -> tuple:
-        return (self.p, self.a4, self.a6, self.px, self.py, self.order)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._header() == other._header() and np.array_equal(self.xs, other.xs)
-
-    def __hash__(self):
-        return hash(self._header())
-
-    def __deepcopy__(self, memo):
-        # frozen, with a read-only array: a copy could never differ from it
-        return self
-
-    def __reduce__(self):
-        # through the constructor, not __dict__: an unpickled array comes
-        # back writable, and __post_init__ makes it read-only again
-        return OrbitTable, (*self._header(), self.xs)
+        if (not isinstance(xs, np.ndarray) or xs.dtype != np.int64
+                or xs.flags.writeable or xs.shape != (self.order - 1,)):
+            raise ValueError("xs must be a read-only int64 array of length order - 1")
+        if xs.size and (xs.min() < 0 or xs.max() >= self.p):
+            raise ValueError(f"x-value outside [0, {self.p})")
 
     def curve(self) -> CurveParams:
         return CurveParams(self.p, self.a4, self.a6)

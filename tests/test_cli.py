@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -101,6 +103,19 @@ def test_readme_layout_names_every_module():
               and line.split()[0].endswith(".py")]
     modules = {f.name for f in (root / "src" / "ecsumprod").glob("*.py")} - {"__init__.py"}
     assert sorted(listed) == sorted(modules)
+
+
+def test_readme_constants_match_the_code():
+    # every `module.NAME` = b^e or `module.NAME` (b^e) that README quotes is the
+    # package's value, and the block sizes and caps it quotes are all among them
+    readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+    quoted = re.findall(r"`(\w+)\.([A-Z_]+)` (?:= |\()(\d+)\^(\d+)", readme)
+    named = {(module, name) for module, name, _, _ in quoted}
+    assert named >= {("curve", "STRIDE"), ("orbit", "GRID_LANES"), ("sumprod", "BLOCK"),
+                     ("curve", "ENUMERATION_CAP"), ("charsum", "SCAN_CAP")}
+    for module, name, base, exp in quoted:
+        value = getattr(importlib.import_module(f"ecsumprod.{module}"), name)
+        assert value == int(base) ** int(exp), f"{module}.{name}"
 
 
 def test_verify_text(capsys):
@@ -217,6 +232,18 @@ def test_exit_two_on_cap_above_the_package_cap(tmp_path, capsys, key, value):
     cfg.write_text(json.dumps({"mode": "theorem1", "p_list": [5], key: value}))
     code, out, err = run(capsys, ["sweep", "--config", str(cfg)])
     assert code == 2 and f"unknown config keys: ['{key}']" in err and out == ""
+
+
+def test_exit_two_on_p_beyond_the_primality_bound(tmp_path, capsys):
+    # 4759123141 = 48781 * 97561 passes Miller-Rabin to the bases 2, 7, 61
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"mode": "theorem2", "p_list": [4759123141]}))
+    code, out, err = run(capsys, ["sweep", "--config", str(cfg)])
+    assert code == 2 and "exact only below 4759123141" in err and out == ""
+    # a prime between 2^31 and the bound is still a capped cell, not a config error
+    cfg.write_text(json.dumps({"mode": "theorem2", "p_list": [2147483659]}))
+    code, out, err = run(capsys, ["sweep", "--config", str(cfg), "--format", "json"])
+    assert code == 0 and [r["error"] for r in json.loads(out)] == ["CapExceeded"]
 
 
 def test_exit_two_on_composite_p(capsys):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ecsumprod import (
@@ -103,7 +104,9 @@ def test_mobius_residual_random():
 def test_mobius_rejects_tiny_order():
     from ecsumprod.orbit import OrbitTable
 
-    stub = OrbitTable(p=5, a4=1, a6=1, px=0, py=1, order=1, xs=())
+    xs = np.empty(0, dtype=np.int64)
+    xs.flags.writeable = False
+    stub = OrbitTable(p=5, a4=1, a6=1, px=0, py=1, order=1, xs=xs)
     with pytest.raises(ValueError):
         mobius_identity_residual(stub, 1)
 

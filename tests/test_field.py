@@ -73,6 +73,16 @@ def test_is_prime_spots():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
 
 
+def test_is_prime_refuses_n_beyond_its_witness_bound():
+    # 4759123141 = 48781 * 97561 is a strong pseudoprime to 2, 7 and 61, so
+    # the three witnesses decide n only below it
+    assert is_prime(2147483659) and is_prime(4759123129)
+    assert not is_prime(4759123139)
+    for n in (4759123141, 48781 * 97561, 2**61 - 1):
+        with pytest.raises(ValueError, match="exact only below 4759123141"):
+            is_prime(n)
+
+
 def test_validate_prime_modulus():
     assert validate_prime_modulus(5) == 5
     with pytest.raises(ValueError):

@@ -238,7 +238,8 @@ def test_build_orbit_calls_no_scalar_mul(monkeypatch):
 
     monkeypatch.setattr(curve_module, "scalar_mul", refuse)
     assert not hasattr(orbit_module, "scalar_mul")  # orbit.py does not import it
-    assert build_orbit(curve, point, order) == expected
+    again = build_orbit(curve, point, order)
+    assert again == expected and np.array_equal(again.xs, expected.xs)
     assert build_orbit(CurveParams(5, 1, 0), (0, 0), 2).xs.tolist() == [0]
 
 
@@ -278,6 +279,7 @@ def test_xs_is_a_read_only_array(known_curve, known_table):
     assert arr.dtype == np.int64 and not arr.flags.writeable
     fresh = build_orbit(known_curve, (0, 1), 9)
     assert fresh == known_table and hash(fresh) == hash(known_table)
+    assert np.array_equal(fresh.xs, known_table.xs)
     assert repr(fresh) == repr(known_table)
 
 
@@ -296,15 +298,6 @@ def test_hash_and_repr_build_no_t_length_object():
     table = build_orbit(curve, point, order)
     text, peak = _traced_peak(lambda: (hash(table), repr(table))[1])
     assert len(text) < 1000 and peak < 64 * 1024
-
-
-def test_deepcopy_returns_the_table_itself():
-    # frozen, with a read-only array: a deep copy could never differ
-    curve, _, point, order = discover_instance(10007, 4)
-    table = build_orbit(curve, point, order)
-    twin, peak = _traced_peak(lambda: copy.deepcopy(table))
-    assert twin is table and peak < 64 * 1024
-    assert copy.deepcopy([table])[0] is table
 
 
 # sha256 of b"ECSP1", the header words (p, a4, a6, x(P), y(P), T) as
@@ -333,27 +326,42 @@ def test_array_native_table(p, seed):
     assert type(x_of(table, 1)) is int and x_of(table, -1) == point[0]
 
     fields = dict(p=table.p, a4=table.a4, a6=table.a6, px=table.px, py=table.py, order=order)
-    from_tuple = OrbitTable(xs=tuple(arr.tolist()), **fields)
-    assert table.xs.tolist() == from_tuple.xs.tolist() == arr.tolist()
-    assert table == from_tuple and hash(table) == hash(from_tuple)
-    assert repr(table) == repr(from_tuple)
-    assert from_tuple.xs.tolist() == arr.tolist()
+    with pytest.raises(ValueError, match="read-only int64 array"):
+        OrbitTable(xs=tuple(arr.tolist()), **fields)
     assert OrbitTable(xs=arr, **fields).xs is arr  # read-only int64: kept, not copied
-    assert dataclasses.replace(table, xs=from_tuple.xs) == table
+    assert dataclasses.replace(table, xs=arr) == table
 
 
 def test_table_array_is_private(known_table):
-    # a writable or non-int64 array is copied, so the table cannot change under its reader
-    for dtype in (np.int64, np.int32):
-        source = np.array(known_table.xs, dtype=dtype)
-        table = dataclasses.replace(known_table, xs=source)
-        source[0] = 3
-        assert table == known_table and table.xs.dtype == np.int64
-        assert not table.xs.flags.writeable
+    # the constructor checks and never copies: anything but a read-only int64
+    # array of length T - 1 is refused, so the table cannot change under its reader
+    writable = np.array(known_table.xs)
+    int32 = np.array(known_table.xs, dtype=np.int32)
+    int32.flags.writeable = False
+    short = known_table.xs[:-1]
+    for bad in (writable, int32, tuple(known_table.xs.tolist()), short):
+        with pytest.raises(ValueError, match="read-only int64 array of length order - 1"):
+            dataclasses.replace(known_table, xs=bad)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        table.xs = ()
-    with pytest.raises(ValueError, match="out of field range"):
-        dataclasses.replace(known_table, xs=(2**64 - 1,) * 8)
+        known_table.xs = ()
+
+
+def _read_only(values):
+    arr = np.array(values, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
+
+
+def test_table_rejects_x_values_outside_the_field(known_table):
+    # a value outside [0, p) would wrap in the set kernels' hit masks
+    for values in ([-1, 4, 2, 3, 3, 2, 4, -1], [5, 4, 2, 3, 3, 2, 4, 5],
+                   [0, 4, 2, 3, 3, 2, 4, 2**62]):
+        with pytest.raises(ValueError, match=r"x-value outside \[0, 5\)"):
+            dataclasses.replace(known_table, xs=_read_only(values))
+    ok = dataclasses.replace(known_table, xs=_read_only([0, 4, 2, 3, 3, 2, 4, 0]))
+    assert ok == known_table
+    empty = OrbitTable(p=5, a4=1, a6=1, px=0, py=1, order=1, xs=_read_only([]))
+    assert empty.xs.size == 0
 
 
 def _round_trips(table):
@@ -363,18 +371,13 @@ def _round_trips(table):
     yield "copy", copy.copy(table)
 
 
-@pytest.mark.parametrize("source", ["build_orbit", "tuple"])
-def test_copied_table_stays_read_only(source):
+def test_copied_table_is_an_equal_table():
+    # copies are ordinary dataclass copies: copy.copy shares the array,
+    # deepcopy and pickle give a copy of it with the same x-values
     curve, _, point, order = discover_instance(1009, 2)
     table = build_orbit(curve, point, order)
-    if source == "tuple":
-        table = OrbitTable(p=table.p, a4=table.a4, a6=table.a6, px=table.px,
-                           py=table.py, order=table.order, xs=tuple(table.xs.tolist()))
     for how, twin in _round_trips(table):
-        arr = twin.xs
-        assert arr.dtype == np.int64 and not arr.flags.writeable, how
-        with pytest.raises(ValueError):
-            arr[0] = 1
         assert twin == table and hash(twin) == hash(table), how
-        assert arr.tolist() == table.xs.tolist()
+        assert twin.xs.dtype == np.int64 and np.array_equal(twin.xs, table.xs), how
+    assert copy.copy(table).xs is table.xs
     assert not table.xs.flags.writeable

@@ -21,6 +21,7 @@ from ecsumprod import (
 )
 from ecsumprod.residue import euler_phi, units_of
 from ecsumprod.sampling import sample_unit_subset
+from oracles import oracle_phi
 
 BASE = {"mode": "theorem2", "p_list": [5, 7], "master_seed": 42}
 
@@ -244,6 +245,22 @@ def test_sweep_interrupts_propagate(monkeypatch, stop):
     monkeypatch.setattr(sampling_module, "random_curve", interrupted)
     with pytest.raises(stop):
         run_sweep(config())
+
+
+def test_theorem2_rows_lie_in_the_band():
+    # lhs = #S #T is at least max(#A, #B)^2 / 4 for any sets (an x is hit by
+    # at most two units, and #T >= #H / 2 >= max(#A, #B) / 2) and at most
+    # p ceil(phi(T) / 2) (#S <= p, and the units give at most that many x)
+    rows = []
+    for seed in (1, 7):
+        for f in (0.25, 0.5, 1.0):
+            rows += run_sweep(parse_config({
+                "mode": "theorem2", "p_list": [101, 211, 1009, 10007], "sets_per_curve": 2,
+                "set_size_rule": {"fraction": f}, "master_seed": seed}))
+    assert len(rows) == 48
+    for r in rows:
+        assert r.error == ""
+        assert max(r.sizeA, r.sizeB) ** 2 / 4 <= r.thm_lhs <= r.p * -(-oracle_phi(r.T) // 2)
 
 
 def test_sweep_identities_mode():

@@ -63,9 +63,10 @@ def test_violation_is_reported_not_raised(known_table, known_summary):
 
 
 def test_orbit_symmetry_check_sees_a_broken_table(known_table, known_summary):
-    xs = list(known_table.xs)
+    xs = known_table.xs.copy()
     xs[1] = 1  # x(2P) no longer equals x(7P)
-    broken = dataclasses.replace(known_table, xs=tuple(xs))
+    xs.flags.writeable = False
+    broken = dataclasses.replace(known_table, xs=xs)
     by_name = {r.name: r for r in run_identity_suite(broken, known_summary.n_points, seed=7)}
     assert not by_name["orbit_symmetry"].ok
     assert by_name["group_order"].ok
