@@ -1,15 +1,13 @@
 """Additive character sums over orbit x-coordinates.
 
-The character psi_lambda(z) = exp(2*pi*i*lambda*z/p). Each sum here is that
-of a histogram on F_p, sum_z hist[z] psi_lambda(z). At sampled lambdas,
-histogram_sums factors psi_lambda(W*z1 + z0) into psi_lambda(W*z1) *
-psi_lambda(z0) with W about sqrt(p), so each lambda needs about 2 sqrt(p)
-roots and no p-length table. At every lambda the sums are
-conj(fft(hist))[lambda], which pocketfft computes in O(p log p) for prime p
-too (Bluestein's chirp-z). A real histogram makes the sum at p - lambda the
-conjugate of the sum at lambda, so scans visit lambda in [1, (p-1)/2] only.
-The same symmetry lets one complex transform carry two real histograms, as
-its real and imaginary parts; the full scans pack their rows that way.
+psi_lambda(z) = exp(2*pi*i*lambda*z/p), and each sum here is that of a
+histogram on F_p, sum_z hist[z] psi_lambda(z). histogram_sums splits
+z = W*z1 + z0 and the scans' matmul route lambda = W*l1 + l0, W about
+sqrt(p), so psi factors into two tables of about sqrt(p) roots. At every
+lambda the sums are conj(fft(hist))[lambda], O(p log p) in pocketfft at
+prime p too (Bluestein's chirp-z). Real histograms have conjugate sums
+at lambda and p - lambda, so scans stop at (p-1)/2 and the FFT scans carry
+two histograms per complex row.
 
 Orthogonality, (1/p) * sum_lambda psi_lambda(z) = [z = 0], is what turns
 solution counting into the factored spectra in solutions_spectrum.
@@ -23,18 +21,19 @@ import numpy as np
 from .errors import DomainError, TrivialCharacter, check_cap
 from .orbit import OrbitTable
 from .sumprod import check_unit_subset, solution_inputs
-from .residue import inv_mod
+from .residue import inv_mod, reduce_mod
 
-# Full scans transform length-p histograms; keep them desk-sized.
+# Full scans cost p or more per K-row; keep them desk-sized.
 SCAN_CAP = 100_000
 
-# Bytes per block of bilinear-scan rows. A complex row of p cells carries
-# two K-rows and is transformed in place (16p bytes); splitting its
-# spectrum takes 20p bytes more, so a block holds max(1, BLOCK // (36p))
-# complex rows. One scan at p = 10007 with #K = #M = 40 (blocks of 16
-# K-rows) peaks at 2.94 MB under tracemalloc, within 3.0 MB.
-# histogram_sums sizes its blocks of lambdas by the same budget.
+# Bytes per block. An FFT-scan complex row of p cells carries two K-rows,
+# transformed in place (16p bytes) and split (20p more): max(1, BLOCK //
+# (36p)) of them a block. Matmul-scan blocks take BLOCK // 3.
 BLOCK = 3 << 20
+
+# OpenBLAS runs a matmul of at most GEMM_MACS multiply-adds on the calling
+# thread; larger ones wake its threads.
+GEMM_MACS = 1 << 16
 
 
 def _roots(j: np.ndarray, p: int) -> np.ndarray:
@@ -46,24 +45,14 @@ def histogram_sums(hist: np.ndarray, lams) -> np.ndarray:
     """sum_z hist[z] * psi_lambda(z) at each lambda, for a histogram on F_p.
 
     With W = isqrt(p - 1) + 1 and z = W*z1 + z0, 0 <= z0 < W,
-    psi_lambda(z) = psi_lambda(W*z1) * psi_lambda(z0). hist is laid out
-    once as a float grid of ceil(p/W) rows of W (zero-padded), and its
-    rows without support are dropped (a copy, made only then), so a zero
-    histogram costs no pass.
-    Each row is contracted against the W low roots psi_lambda(z0) (two
-    real einsums, on their cos and sin parts), and the row sums against
-    the high roots psi_lambda(W*z1) (a third). The roots come from _roots,
-    for blocks of lambdas whose temporaries take about BLOCK bytes. Work
-    is 2W multiply-adds per lambda for each row with support, at most
-    about 2p; memory is 8p bytes for the grid, plus its live rows when
-    some row is dropped, plus the tables, with no p-length roots table.
-    The work does not shrink with the support inside a row, so a sparse
-    histogram costs more than a gather over its support did: at 32
-    lambdas and p = 9999991, 10^4 entries on 3037 rows take 0.55 s
-    against 0.04 s, while p/2 entries take 0.62 s against 5.7 s. The sums
-    are einsums, not BLAS dots: at
-    p = 10^6 on 2 vCPUs the threaded BLAS dot took 8 ms a pass and
-    einsum 1 ms.
+    psi_lambda(z) = psi_lambda(W*z1) * psi_lambda(z0). hist is laid out as
+    a float grid of ceil(p/W) rows of W; rows without support are dropped
+    (copied only then), so a zero histogram costs no pass. Rows meet
+    the W low roots (einsums on their cos and sin parts), row sums the high
+    roots, in blocks of lambdas of about BLOCK bytes. Work is 2W
+    multiply-adds per lambda per live row; memory 8p bytes of grid, plus
+    its live rows when some are dropped. einsum stays on the calling
+    thread (a BLAS dot wakes OpenBLAS's).
     """
     p = len(hist)
     width = math.isqrt(p - 1) + 1  # W * W >= p
@@ -76,7 +65,7 @@ def histogram_sums(hist: np.ndarray, lams) -> np.ndarray:
     low, high = np.arange(width), live * width  # z0 and W*z1 < p
     lams = np.array([lam % p for lam in lams], dtype=np.int64)
     sums = np.empty(len(lams), dtype=complex)
-    step = max(1, BLOCK // (160 * width))  # lambdas per block: ~160W bytes of temporaries each
+    step = max(1, BLOCK // (160 * width))  # ~160W bytes of temporaries each
     for start in range(0, len(lams), step):
         lam = lams[start:start + step]
         low_roots = _roots(np.multiply.outer(lam, low) % p, p)
@@ -106,8 +95,8 @@ def bilinear_sum_bound(nu: int, size_k: int, size_m: int, order: int, q: int) ->
     """The analytic ceiling the bilinear sums are measured against.
 
     (#K)^(1 - 1/(2 nu)) * (#M)^((nu+1)/(nu+2)) * T^((nu+1)/(nu(nu+2)))
-    * q^(1/(4(nu+2))) * (ln q)^(1/(nu+2)), natural logarithm. As nu grows
-    the #K exponent climbs to 1.
+    * q^(1/(4(nu+2))) * (ln q)^(1/(nu+2)). As nu grows the #K exponent
+    climbs to 1.
     """
     if nu < 1:
         raise DomainError(f"nu must be >= 1, got {nu}")
@@ -131,7 +120,7 @@ class CharSumReport:
     nu: int
     size_k: int
     size_m: int
-    lam: int  # smallest lambda attaining the max up to roundoff (_first_max)
+    lam: int  # _first_max's lambda
     value: float
     rhs: float
     ratio: float
@@ -141,11 +130,10 @@ def _half_spectrum_abs(xmat: np.ndarray, p: int) -> np.ndarray:
     """sum over rows j of |F_j(lambda)| at lambda = 1 .. p // 2, where F_j
     is the transform of the histogram of row j of xmat (values in [0, p)).
 
-    Rows 2r and 2r + 1 are tallied straight into the real and imaginary
-    parts of complex row r (an odd last row leaves its imaginary part 0),
-    and one FFT transforms them all. With Z that transform and
-    W[lambda] = conj(Z[p - lambda]), real histograms give
-    F_2r = (Z + W)/2 and F_2r+1 = (Z - W)/(2i).
+    Rows 2r and 2r + 1 are tallied into the real and imaginary parts of
+    complex row r, and one FFT transforms them all. With Z that transform
+    and W[lambda] = conj(Z[p - lambda]), F_2r = (Z + W)/2 and
+    F_2r+1 = (Z - W)/(2i).
     """
     n = len(xmat)
     j = np.arange(n, dtype=np.int64)
@@ -161,6 +149,36 @@ def _half_spectrum_abs(xmat: np.ndarray, p: int) -> np.ndarray:
     return total / 2
 
 
+def _direct_route(size_m: int, p: int) -> bool:
+    """Whether a scan takes the matmul route: #M^2 <= 2p."""
+    return size_m * size_m <= 2 * p
+
+
+def _matmul_kernel(p: int, size_m: int):
+    """(kernel, K-rows per block), kernel(xmat) = _half_spectrum_abs(xmat, p).
+
+    psi_lambda(x) = psi(W*l1*x) psi(l0*x) at lambda = W*l1 + l0, so a row's
+    sums at all lambda < H*W are an (H x #M) by (#M x W) product of roots
+    from a p-length table, in matmuls of 2+ rows and <= GEMM_MACS
+    multiply-adds."""
+    half = p // 2
+    width = min(math.isqrt(half) + 1, GEMM_MACS // (2 * size_m))
+    rows = half // width + 1  # H*W > p // 2
+    parts = -(-rows // (GEMM_MACS // (size_m * width)))
+    rows = -(-rows // parts) * parts
+    roots = _roots(np.arange(p), p)
+    low, high = np.arange(width), np.arange(rows)[:, None] * width
+
+    def kernel(xmat):
+        a = roots[reduce_mod(xmat[:, None, :] * high, p)].reshape(len(xmat), parts, -1, size_m)
+        sums = np.matmul(a, roots[reduce_mod(xmat[:, :, None] * low, p)][:, None])
+        return np.abs(sums).sum(axis=0).ravel()[1:half + 1]
+
+    # bytes a K-row: index, quotient and roots of each factor; sums; |sums|
+    row_bytes = 24 * (size_m * (rows + width) + rows * width)
+    return kernel, max(1, BLOCK // 3 // row_bytes)
+
+
 def _fft_roundoff(p: int, mass: float) -> float:
     """16 eps ceil(log2 p) mass: the roundoff allowed in a value built from
     length-p FFTs whose inputs' norms multiply to mass (Higham, Accuracy
@@ -172,12 +190,10 @@ def _first_max(vals: np.ndarray, p: int, mass: int) -> tuple[int, float]:
     """(lambda, value) of the largest of vals[lambda - 1], lambda = 1 .. p // 2.
 
     vals are sums of |transform| of histograms of total mass `mass` on F_p.
-    The value is the maximum itself. The lambda is the smallest one whose
-    value lies within _fft_roundoff(p, mass) of it: sums that are equal
-    exactly come out a few ulps apart. On a j = 0 curve, for one,
-    (x, y) -> (zeta x, y) with zeta^3 = 1 can permute the orbit, so lambda,
-    zeta lambda and zeta^2 lambda tie, and np.argmax alone would pick
-    whichever the roundoff favours.
+    The value is the maximum; the lambda the smallest within
+    _fft_roundoff(p, mass) of it, as equal sums come out a few ulps apart
+    (on a j = 0 curve, (x, y) -> (zeta x, y), zeta^3 = 1, can permute the
+    orbit: lambda, zeta lambda and zeta^2 lambda tie).
     """
     value = float(vals.max())
     return int(np.argmax(vals >= value - _fft_roundoff(p, mass))) + 1, value
@@ -186,11 +202,11 @@ def _first_max(vals: np.ndarray, p: int, mass: int) -> tuple[int, float]:
 def bilinear_ratio_scan(table: OrbitTable, k_set, m_set, nu: int) -> CharSumReport:
     """Max over every nontrivial lambda of the unit-weight bilinear sum.
 
-    The inner sum for a row k is the transform of the histogram of
-    x(kmP) over M; two rows share one complex FFT of length p, so the scan
-    is O(#K * p log p). Only lambda in [1, (p-1)/2] is scanned: lambda and
-    p - lambda give equal sums exactly. The reported lambda is the smallest
-    attaining the max, up to roundoff (_first_max).
+    Row k's inner sums are the transform of the histogram of x(kmP) over
+    M: by matmul (_matmul_kernel, #K #M ceil(p/2) complex multiply-adds)
+    if _direct_route(#M, p), else by length-p FFTs of two rows each,
+    O(#K p log p). lambda runs over [1, (p-1)/2]; the one reported is
+    _first_max's.
     """
     t, p = table.order, table.p
     check_cap("full character scan", p, SCAN_CAP)
@@ -199,11 +215,13 @@ def bilinear_ratio_scan(table: OrbitTable, k_set, m_set, nu: int) -> CharSumRepo
     if not len(k_set) or not len(m_set):
         raise DomainError("scan needs nonempty K and M")
     rhs = bilinear_sum_bound(nu, len(k_set), len(m_set), t, p)
-    xs = table.xs
+    if _direct_route(len(m_set), p):
+        kernel, step = _matmul_kernel(p, len(m_set))
+    else:
+        kernel, step = (lambda xmat: _half_spectrum_abs(xmat, p)), 2 * max(1, BLOCK // (36 * p))
     vals = np.zeros(p // 2)
-    step = 2 * max(1, BLOCK // (36 * p))
     for start in range(0, len(k_set), step):
-        vals += _half_spectrum_abs(xs[k_set[start:start + step, None] * m_set[None, :] % t - 1], p)
+        vals += kernel(table.xs[k_set[start:start + step, None] * m_set[None, :] % t - 1])
     lam, value = _first_max(vals, p, len(k_set) * len(m_set))
     return CharSumReport(nu=nu, size_k=len(k_set), size_m=len(m_set),
                          lam=lam, value=value, rhs=rhs, ratio=value / rhs)
@@ -232,7 +250,7 @@ class SubgroupScanReport:
     """Empirical size of the largest subgroup character sum for one curve."""
 
     max_abs: float
-    lam: int  # smallest lambda attaining the max up to roundoff (_first_max)
+    lam: int  # _first_max's lambda
     max_over_sqrt_p: float  # the quantity the square-root barrier talks about
 
 
@@ -256,7 +274,7 @@ def solutions_spectrum(table: OrbitTable, b_set, h_set, sum_values) -> complex:
     with S1 over the (b1, h) population, S2 over B, S3 over S; only the
     u-factor enters with a minus sign. Pairing lambda with p - lambda
     conjugates every factor, so the total is real up to roundoff, and its
-    real part is J. Only the input check, solution_inputs, is shared.
+    real part is J.
     """
     inputs = solution_inputs(table, b_set, h_set, sum_values)
     if inputs is None:
@@ -274,16 +292,14 @@ def solutions_spectrum(table: OrbitTable, b_set, h_set, sum_values) -> complex:
     rows[0].real = np.bincount(xs, weights=pop[1:], minlength=p)
     rows[0].imag = np.bincount(xs[bs - 1], minlength=p)
     rows[1, us] = 1.0
-    # One call for both: pocketfft plans a prime length afresh on every
-    # call, and the plan costs more than a transform.
+    # One call: pocketfft plans a prime length afresh on every call.
     z, f3 = np.fft.fft(rows, axis=1)
     # With F_j = fft(h_j) and W[k] = conj(Z[-k]), real h1 and h2 give
     # F1 = (Z + W)/2 and F2 = (Z - W)/(2i), so F1*F2 = (Z^2 - W^2)/(4i).
     # S1 S2 conj(S3) = conj(F1 F2) F3, and summed over all of Z_p:
     #     sum conj(Z^2) F3 - sum_k Z^2[-k] F3[k] = -4i * p * value.
     # einsum reads the reversed view in place, where np.dot would copy it,
-    # and runs on the calling thread, where the BLAS complex dot wakes every
-    # OpenBLAS thread (twice the wall time in CPU on an identities sweep).
+    # and stays on the calling thread, where a BLAS dot wakes OpenBLAS's.
     z *= z
     paired = z[0] * f3[0] + np.einsum("i,i", z[:0:-1], f3[1:])
     return complex((np.einsum("i,i", np.conjugate(z, out=z), f3) - paired) * 1j / (4 * p))

@@ -35,6 +35,19 @@ from oracles import naive_bilinear, naive_count, naive_subgroup_sum, spectrum_to
 
 UNITS9 = units_of(9)
 
+# The scan's two routes, forced by patching its cost rule.
+_ROUTES = {"matmul": lambda size_m, p: True, "fft": lambda size_m, p: False}
+
+
+def _on_each_route(scan):
+    """{route: scan()} with the cost rule patched to force each route."""
+    reports = {}
+    for route, rule in _ROUTES.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(charsum_module, "_direct_route", rule)
+            reports[route] = scan()
+    return reports
+
 
 def _naive_histogram_sum(hist, lam):
     p = len(hist)
@@ -161,20 +174,21 @@ def test_bound_k_exponent():
 
 
 def test_scan_known_instance(known_table):
-    rep = bilinear_ratio_scan(known_table, UNITS9, UNITS9, nu=1)
-    assert rep.lam == 1
-    assert rep.value == pytest.approx(19.41640786499874)
-    assert rep.rhs == pytest.approx(46.89685380417448)
-    assert rep.ratio == pytest.approx(rep.value / rep.rhs)
-    # the scan max agrees with a direct sweep through the oracle
     want = max(naive_bilinear(known_table, UNITS9, UNITS9, lam) for lam in range(1, 5))
-    assert rep.value == pytest.approx(want, abs=1e-9)
+    for rep in _on_each_route(lambda: bilinear_ratio_scan(known_table, UNITS9, UNITS9, nu=1)).values():
+        assert rep.lam == 1
+        assert rep.value == pytest.approx(19.41640786499874)
+        assert rep.rhs == pytest.approx(46.89685380417448)
+        assert rep.ratio == pytest.approx(rep.value / rep.rhs)
+        # the scan max agrees with a direct sweep through the oracle
+        assert rep.value == pytest.approx(want, abs=1e-9)
 
 
 def test_scan_deterministic(known_table):
-    a = bilinear_ratio_scan(known_table, UNITS9, UNITS9, nu=2)
-    b = bilinear_ratio_scan(known_table, UNITS9, UNITS9, nu=2)
-    assert a == b
+    def twice():
+        return [bilinear_ratio_scan(known_table, UNITS9, UNITS9, nu=2) for _ in range(2)]
+    for a, b in _on_each_route(twice).values():
+        assert a == b
 
 
 def test_scan_guards(known_table, monkeypatch):
@@ -304,16 +318,18 @@ def test_bilinear_scan_matches_full_lambda_oracle(inputs):
     table, k, m = inputs
     p = table.p
     naive = [naive_bilinear(table, k, m, lam) for lam in range(1, p)]
-    # BLOCK = 1 gives blocks of one complex row (2 K-rows), and 36p * c
-    # bytes blocks of c complex rows; at #K = 7 those leave last blocks of
-    # 1, 3 and 1 K-rows, the last complex row half empty.
+    # On the FFT route, BLOCK = 1 gives blocks of one complex row (2
+    # K-rows), and 36p * c bytes blocks of c complex rows; at #K = 7 those
+    # leave last blocks of 1, 3 and 1 K-rows, the last complex row half
+    # empty. On the matmul route BLOCK = 1 gives blocks of one K-row.
     for block in (charsum_module.BLOCK, 1, 2 * 36 * p, 3 * 36 * p):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(charsum_module, "BLOCK", block)
-            rep = bilinear_ratio_scan(table, k, m, nu=1)
-        assert 1 <= rep.lam <= (p - 1) // 2
-        assert rep.value == pytest.approx(max(naive), abs=1e-9)
-        assert naive[rep.lam - 1] == pytest.approx(rep.value, abs=1e-9)
+            reports = _on_each_route(lambda: bilinear_ratio_scan(table, k, m, nu=1))
+        for rep in reports.values():
+            assert 1 <= rep.lam <= (p - 1) // 2
+            assert rep.value == pytest.approx(max(naive), abs=1e-9)
+            assert naive[rep.lam - 1] == pytest.approx(rep.value, abs=1e-9)
 
 
 def test_subgroup_scan_matches_full_lambda_oracle():
@@ -388,7 +404,8 @@ def test_scans_report_the_smallest_tied_lambda_on_j0_curves():
         if min(sub_gap / table.order, bil_gap / len(units) ** 2) < 1e-9:
             continue  # two classes nearly tie by coincidence: no exact answer
         assert subgroup_scan(table).lam == sub_want
-        assert bilinear_ratio_scan(table, units, units, nu=1).lam == bil_want
+        reports = _on_each_route(lambda: bilinear_ratio_scan(table, units, units, nu=1))
+        assert [rep.lam for rep in reports.values()] == [bil_want, bil_want]
         checked += 1
     assert checked >= 60
 
@@ -483,6 +500,8 @@ def test_full_scans_pack_two_rows_per_fft(monkeypatch):
     p = table.p
     k = sample_unit_subset(table.order, 13, 1)
     m = sample_unit_subset(table.order, 7, 2)
+    # #M = 7 takes the matmul route at p = 1009; force the FFT route
+    monkeypatch.setattr(charsum_module, "_direct_route", _ROUTES["fft"])
     expected = bilinear_ratio_scan(table, k, m, nu=1)
     calls = []
     real_fft = np.fft.fft
@@ -513,7 +532,7 @@ def test_full_scans_pack_two_rows_per_fft(monkeypatch):
     assert calls == [("fft", (1, p))]
 
 
-def test_bilinear_scan_block_memory_at_p_10007():
+def _scan_peak_at_p_10007():
     table = _table(10007, 1)
     k = sample_unit_subset(table.order, 40, 1)
     m = sample_unit_subset(table.order, 40, 2)
@@ -523,8 +542,60 @@ def test_bilinear_scan_block_memory_at_p_10007():
     tracemalloc.start()
     try:
         bilinear_ratio_scan(table, k, m, nu=2)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the budget the BLOCK comment states (blocks of 16 K-rows here)
-    assert peak <= 3.0e6
+
+
+def test_bilinear_scan_block_memory_at_p_10007():
+    # the matmul route: blocks of 4 K-rows in BLOCK // 3 bytes of
+    # temporaries, plus the 16p-byte roots table
+    assert _scan_peak_at_p_10007() <= 3.0e6
+
+
+def test_bilinear_fft_scan_block_memory_at_p_10007(monkeypatch):
+    # the FFT route: blocks of 16 K-rows in 8 complex rows of 36p bytes
+    monkeypatch.setattr(charsum_module, "_direct_route", _ROUTES["fft"])
+    assert _scan_peak_at_p_10007() <= 3.0e6
+
+
+def test_matmul_scan_makes_no_fft_call(monkeypatch):
+    # the default rule sends #M = 40 at p = 10007 to the matmul route, whose
+    # matmuls each stay within GEMM_MACS multiply-adds and two rows or more
+    # (one uncut product per K-row would be 71 x 40 x 71)
+    table = _table(10007, 1)
+    k = sample_unit_subset(table.order, 40, 1)
+    m = sample_unit_subset(table.order, 40, 2)
+    assert charsum_module._direct_route(len(m), table.p)
+    fft = _on_each_route(lambda: bilinear_ratio_scan(table, k, m, nu=1))["fft"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the matmul route makes no FFT")
+
+    shapes = []
+    real_matmul = np.matmul
+
+    def counting_matmul(a, b, *args, **kwargs):
+        shapes.append((a.shape, b.shape))
+        return real_matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", refuse)
+    monkeypatch.setattr(np.fft, "rfft", refuse)
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    rep = bilinear_ratio_scan(table, k, m, nu=1)
+    assert shapes and all(a[-1] == b[-2] == len(m) and a[-3] > 1 for a, b in shapes)
+    assert all(2 <= a[-2] and a[-2] * a[-1] * b[-1] <= charsum_module.GEMM_MACS
+               for a, b in shapes)
+    assert rep.lam == fft.lam
+    assert abs(rep.value - fft.value) <= charsum_module._fft_roundoff(table.p, len(k) * len(m))
+
+
+def test_scan_routes_agree_at_the_cap():
+    table = _table(99991, 1)
+    assert table.p <= charsum_module.SCAN_CAP
+    k = sample_unit_subset(table.order, 40, 1)
+    m = sample_unit_subset(table.order, 40, 2)
+    reports = _on_each_route(lambda: bilinear_ratio_scan(table, k, m, nu=2))
+    assert reports["matmul"].lam == reports["fft"].lam
+    assert (abs(reports["matmul"].value - reports["fft"].value)
+            <= charsum_module._fft_roundoff(table.p, len(k) * len(m)))

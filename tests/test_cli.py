@@ -112,7 +112,8 @@ def test_readme_constants_match_the_code():
     quoted = re.findall(r"`(\w+)\.([A-Z_]+)` (?:= |\()(\d+)\^(\d+)", readme)
     named = {(module, name) for module, name, _, _ in quoted}
     assert named >= {("curve", "STRIDE"), ("orbit", "GRID_LANES"), ("sumprod", "BLOCK"),
-                     ("curve", "ENUMERATION_CAP"), ("charsum", "SCAN_CAP")}
+                     ("curve", "ENUMERATION_CAP"), ("charsum", "SCAN_CAP"),
+                     ("charsum", "GEMM_MACS")}
     for module, name, base, exp in quoted:
         value = getattr(importlib.import_module(f"ecsumprod.{module}"), name)
         assert value == int(base) ** int(exp), f"{module}.{name}"
@@ -155,6 +156,20 @@ def test_charsum_known_row(capsys):
     assert row["value"] == pytest.approx(19.41640786499874)
     assert row["rhs"] == pytest.approx(46.89685380417448)
     assert row["subgroup_max"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_charsum_lambda_is_the_same_on_both_scan_routes(capsys, monkeypatch):
+    # the sweep CSV has no lambda column, so the CLI row is where a changed
+    # lambda would show; all 400 units of this instance take the FFT route
+    argv = ["charsum", "--p", "1009", "--seed", "2", "--format", "json"]
+    rows = []
+    for direct in (True, False):
+        monkeypatch.setattr(charsum_module, "_direct_route", lambda size_m, p, d=direct: d)
+        code, out, err = run(capsys, argv)
+        assert code == 0
+        rows.append(json.loads(out)[0])
+    assert [(row["sizeM"], row["lam"]) for row in rows] == [(400, 234)] * 2
+    assert rows[0]["value"] == pytest.approx(rows[1]["value"], rel=1e-12)
 
 
 def test_charsum_checks_each_set_once(capsys, monkeypatch):
