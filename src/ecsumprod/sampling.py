@@ -6,7 +6,9 @@ pair reproduces bit-for-bit.
 
 import numpy as np
 
-from .curve import AffinePoints, CurveParams, CurveSummary, curve_summary, point_order
+from .curve import (
+    INFINITY, AffinePoints, CurveParams, CurveSummary, curve_summary, point_order, scalar_mul,
+)
 from .errors import TooLarge
 from .residue import units_of
 from .rng import SplitMix64
@@ -69,14 +71,18 @@ def max_order_point(curve: CurveParams, n_points: int, rng: SplitMix64):
     before any order is computed, so the rng advances the same whatever
     the orders; points and orders are then computed in draw order up to
     the first point of order n_points, which no later sample can beat.
+    A sample that best_order already annihilates has an order dividing
+    it, so its order is never computed.
     """
     affine = AffinePoints(curve)
     if not len(affine):
         raise ValueError("curve has no affine points to sample")
-    draws = [rng.below(len(affine)) for _ in range(min(SAMPLES, len(affine)) or 1)]
+    draws = [rng.below(len(affine)) for _ in range(min(SAMPLES, len(affine)))]
     best, best_order = None, 0
     for i in draws:
         candidate = affine[i]
+        if best_order and scalar_mul(curve, best_order, candidate) is INFINITY:
+            continue
         order = point_order(curve, candidate, n_points)
         if order > best_order:
             best, best_order = candidate, order

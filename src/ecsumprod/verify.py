@@ -104,7 +104,8 @@ def run_identity_suite(table: OrbitTable, n_points: int, seed: int) -> list[Chec
     h_set = product_index_set(a_set, b_set, t)
     j = count_solutions(table, b_set, h_set, s_vals)
     spectrum = solutions_spectrum(table, b_set, h_set, s_vals)
-    # FFT roundoff bound through Parseval, |S1| <= #B #H and |S2| <= #B.
+    # FFT roundoff bound through Parseval: the FFT row h1 + i h3 has
+    # |h1| <= #B #H and |h3| = sqrt(#S), and |S2| <= #B.
     tol = _fft_roundoff(p, len(b_set) ** 2 * len(h_set) * math.sqrt(len(s_vals)))
     ok = (
         abs(spectrum.real - j) < tol

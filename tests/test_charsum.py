@@ -1,6 +1,10 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,7 +458,23 @@ def test_subgroup_sums_known_value_stays_nonreal(known_table):
     assert abs(got[0].imag) > 1.9
 
 
+# solutions_spectrum's two B-side routes, forced by patching its rule.
+_B_ROUTES = {"direct": lambda size_xb, p: True, "fft": lambda size_xb, p: False}
+
+
+def _on_each_b_route(spectrum):
+    """{route: spectrum()} with _direct_b_route patched to force each route."""
+    values = {}
+    for route, rule in _B_ROUTES.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(charsum_module, "_direct_b_route", rule)
+            values[route] = spectrum()
+    return values
+
+
 def test_solutions_spectrum_makes_one_fft_of_two_rows(monkeypatch):
+    # h1 + i*h3 share one complex row; h2 takes direct sums, or a second
+    # row of the same call when the rule is forced to the FFT side
     shapes = []
     real_fft = np.fft.fft
 
@@ -464,14 +484,91 @@ def test_solutions_spectrum_makes_one_fft_of_two_rows(monkeypatch):
 
     monkeypatch.setattr(np.fft, "fft", counting_fft)
     table = _PARITY_TABLES["even_1009"]
+    p = table.p
     a = sample_unit_subset(table.order, 8, 1)
     b = sample_unit_subset(table.order, 8, 2)
     h = product_index_set(a, b, table.order)
     s = sum_set(table, a, b)
-    val = solutions_spectrum(table, b, h, s)
-    assert shapes == [(2, table.p)]
-    assert round(val.real) == count_solutions(table, b, h, s)
-    assert abs(val.imag) < spectrum_tolerance(table.p, len(b), len(h), len(s))
+    exact = count_solutions(table, b, h, s)
+    assert charsum_module._direct_b_route(len(b), p)
+    vals = _on_each_b_route(lambda: solutions_spectrum(table, b, h, s))
+    assert shapes == [(p,), (2, p)]
+    for val in vals.values():
+        assert round(val.real) == exact
+        assert abs(val.imag) < spectrum_tolerance(p, len(b), len(h), len(s))
+
+
+def test_direct_b_route_rule():
+    # the identity suite's #B <= 8 takes the direct side at every p
+    for p in (5, 101, 10007, 1000003, 2 ** 31 - 1):
+        assert all(charsum_module._direct_b_route(n, p) for n in range(1, 9))
+    # then up to p >> 14 values, at most 64
+    assert not charsum_module._direct_b_route(9, 10007)
+    assert charsum_module._direct_b_route(61, 1000003)
+    assert not charsum_module._direct_b_route(62, 1000003)
+    assert charsum_module._direct_b_route(64, 2 ** 31 - 1)
+    assert not charsum_module._direct_b_route(65, 2 ** 31 - 1)
+
+
+def _routes_agree(table, b, h, s):
+    exact = count_solutions(table, b, h, s)
+    vals = _on_each_b_route(lambda: solutions_spectrum(table, b, h, s))
+    tol = charsum_module._fft_roundoff(table.p, len(b) ** 2 * len(h) * math.sqrt(len(s)))
+    for val in vals.values():
+        assert round(val.real) == exact
+        assert abs(val.real - exact) < tol and abs(val.imag) < tol
+    assert abs(vals["direct"] - vals["fft"]) < tol
+
+
+@pytest.mark.parametrize("name", sorted(_PARITY_TABLES))
+def test_b_routes_agree_on_parity_tables(name):
+    table = _PARITY_TABLES[name]
+    phi = euler_phi(table.order)
+    for i, size in enumerate((1, 3, 8, 24)):
+        a = sample_unit_subset(table.order, min(size, phi), 10 + i)
+        b = sample_unit_subset(table.order, min(size, phi), 20 + i)
+        _routes_agree(table, b, product_index_set(a, b, table.order), sum_set(table, a, b))
+
+
+@pytest.mark.parametrize("p", [211, 1009, 10007])
+def test_b_routes_agree_on_random_instances(p):
+    rng = SplitMix64(p)
+    for seed in range(2):
+        table = _table(p, 40 + seed)
+        phi = euler_phi(table.order)
+        for size in (2, 8, 40):
+            b = sample_unit_subset(table.order, min(size, phi), rng.next_u64())
+            # any unit subset H and any S in F_p, both ends of F_p included
+            h = sample_unit_subset(table.order, min(1 + rng.below(50), phi), rng.next_u64())
+            s = sorted({0, p - 1} | {rng.below(p) for _ in range(1 + rng.below(50))})
+            _routes_agree(table, b, h, s)
+
+
+_SPECTRUM_RSS = """
+import resource
+from ecsumprod import build_orbit, discover_instance, product_index_set, sample_unit_subset, sum_set
+from ecsumprod.charsum import solutions_spectrum
+curve, summary, point, order = discover_instance(1000003, 1)
+table = build_orbit(curve, point, order)
+a, b = sample_unit_subset(order, 8, 1), sample_unit_subset(order, 8, 2)
+h, s = product_index_set(a, b, order), sum_set(table, a, b)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+solutions_spectrum(table, b, h, s)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_solutions_spectrum_max_rss_at_p_1000003():
+    # pocketfft's Bluestein work space is about 90p bytes a row and
+    # invisible to tracemalloc, so a fresh process reads its max RSS: one
+    # row plus the 64p bytes of spectra grew it by 139 MB, two rows by 242
+    src = str(Path(charsum_module.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _SPECTRUM_RSS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) * 1024 <= 180e6  # ru_maxrss is in KiB
 
 
 @pytest.mark.parametrize("blas", ["vdot", "dot", "inner", "matmul"])

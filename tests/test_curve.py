@@ -21,7 +21,7 @@ from ecsumprod import (
     scalar_mul,
 )
 from ecsumprod.curve import require_on_curve
-from ecsumprod.rng import SplitMix64
+from ecsumprod.rng import SplitMix64, derive_seed
 import ecsumprod.sampling as sampling_module
 from ecsumprod.sampling import discover_instance, max_order_point, random_curve
 from oracles import oracle_add, oracle_points, oracle_scalar
@@ -203,6 +203,31 @@ def test_max_order_point_matches_full_scan():
             assert max_order_point(curve, n, rng) == (draws[best], orders[best])
             assert rng.next_u64() == ref.next_u64()
 
+
+
+def test_max_order_point_skips_draws_that_cannot_win(monkeypatch):
+    # The sweep's curve at p = 10009, master seed 1, has N = 9900 and no
+    # point of order N (the group is Z/3 x Z/3300), so no draw stops the
+    # loop early: every one of the 30 draws had its order computed. A draw
+    # that the best order so far annihilates has an order dividing it.
+    rng = SplitMix64(derive_seed(1, 10009, 0))
+    curve, summary = random_curve(10009, rng)
+    assert summary.n_points == 9900
+    ref = SplitMix64(rng.state)
+    for _ in range(sampling_module.SAMPLES):
+        ref.below(summary.n_points - 1)
+    orders = []
+    real_order = sampling_module.point_order
+
+    def counting_order(*args):
+        orders.append(real_order(*args))
+        return orders[-1]
+
+    monkeypatch.setattr(sampling_module, "point_order", counting_order)
+    assert max_order_point(curve, summary.n_points, rng) == ((5459, 731), 3300)
+    assert rng.state == ref.state
+    assert 1 <= len(orders) < sampling_module.SAMPLES
+    assert max(orders) == 3300
 
 # BLOCK = STRIDE = 2 and 3 split F_p into many blocks and strides, so points
 # fall on both sides of every boundary, and pairs (x, y), (x, p - y)

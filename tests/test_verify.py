@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import ecsumprod.charsum as charsum
 import ecsumprod.extremal as extremal
 import ecsumprod.verify as verify
 from ecsumprod import build_orbit, run_identity_suite
@@ -132,31 +133,48 @@ def test_mobius_check_sees_a_dropped_unit(monkeypatch, p, seed, position):
     assert by_name["solution_count"].ok
 
 
-def _double_h1(rows):
-    rows[0].real *= 2
+def _perturb_fft_row(monkeypatch, perturb):
+    """Apply perturb to a copy of the spectrum's one FFT row, h1 + i*h3."""
+    real_fft = np.fft.fft
+
+    def perturbed_fft(row, *args, **kwargs):
+        assert np.ndim(row) == 1  # the suite's #B <= 8 takes the direct B side
+        row = np.array(row, dtype=complex)
+        perturb(row)
+        return real_fft(row, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", perturbed_fft)
 
 
-def _raise_one_h2_cell(rows):
+def _double_h1(monkeypatch):
+    def perturb(row):
+        row.real *= 2
+
+    _perturb_fft_row(monkeypatch, perturb)
+
+
+def _raise_one_h2_cell(monkeypatch):
     # the x of some b in B: every (a, b1 = b2 = b, h = ab) gains a solution
-    rows[0, np.flatnonzero(rows[0].imag)[0]] += 1j
+    real_sums = charsum._point_sums
+
+    def perturbed_sums(values, counts, p):
+        return real_sums(values, counts + (np.arange(len(counts)) == 0), p)
+
+    monkeypatch.setattr(charsum, "_point_sums", perturbed_sums)
 
 
-def _drop_one_h3_cell(rows):
+def _drop_one_h3_cell(monkeypatch):
     # a sum x(aP) + x(bP) leaves S, and with it the solution (b, b, ab)
-    rows[1, np.flatnonzero(rows[1])[0]] = 0
+    def perturb(row):
+        row.imag[np.flatnonzero(row.imag)[0]] = 0
+
+    _perturb_fft_row(monkeypatch, perturb)
 
 
 @pytest.mark.parametrize("perturb", [_double_h1, _raise_one_h2_cell, _drop_one_h3_cell])
 @pytest.mark.parametrize("p, seed", MUTATION_INSTANCES)
 def test_solution_count_check_sees_a_perturbed_histogram(monkeypatch, perturb, p, seed):
-    real_fft = np.fft.fft
-
-    def perturbed_fft(rows, *args, **kwargs):
-        rows = np.array(rows, dtype=complex)
-        perturb(rows)
-        return real_fft(rows, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fft", perturbed_fft)
+    perturb(monkeypatch)
     by_name = _suite_by_name(p, seed)
     assert not by_name["solution_count"].ok
     assert by_name["mobius_identity"].ok and by_name["subgroup_bound"].ok
