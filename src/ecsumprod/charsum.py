@@ -5,10 +5,10 @@ histogram on F_p, sum_z hist[z] psi_lambda(z). histogram_sums splits
 z = W*z1 + z0 and the scans' matmul route lambda = W*l1 + l0, W about
 sqrt(p), so psi factors into two tables of about sqrt(p) roots. At every
 lambda the sums are conj(fft(hist))[lambda], O(p log p) in pocketfft at
-prime p too (Bluestein's chirp-z), or #values * p multiply-adds for a
-histogram of few values (_point_sums). Real histograms have conjugate sums
+prime p too (Bluestein's chirp-z). Real histograms have conjugate sums
 at lambda and p - lambda, so scans stop at (p-1)/2, and the FFT scans and
-solutions_spectrum carry two histograms per complex row.
+solutions_spectrum carry two histograms per complex row; it reads a third,
+of few values, as a correlation: histogram_sums of the two spectra's product.
 
 Orthogonality, (1/p) * sum_lambda psi_lambda(z) = [z = 0], is what turns
 solution counting into the factored spectra in solutions_spectrum.
@@ -265,22 +265,9 @@ def subgroup_scan(table: OrbitTable) -> SubgroupScanReport:
 
 
 def _direct_b_route(size_xb: int, p: int) -> bool:
-    """Whether solutions_spectrum takes S2 by direct sums, not by a second
-    FFT row: #x(B) <= min(64, max(8, p >> 14))."""
+    """Whether solutions_spectrum takes J's B side by direct sums, not by a
+    second FFT row: #x(B) <= min(64, max(8, p >> 14))."""
     return size_xb <= min(64, max(8, p >> 14))
-
-
-def _point_sums(values: np.ndarray, counts: np.ndarray, p: int) -> np.ndarray:
-    """sum_v counts[v] * psi_lambda(values[v]) at lambda = 0 .. p - 1.
-
-    psi_lambda(x) = psi(W*l1*x) psi(l0*x) at lambda = W*l1 + l0,
-    W = isqrt(p - 1) + 1, so the sums are one einsum of a (rows x #values)
-    table of roots, weighted by counts, by a (#values x W) table:
-    #values * p multiply-adds, no FFT and no BLAS call."""
-    width = math.isqrt(p - 1) + 1
-    high = counts * _roots(np.multiply.outer(np.arange(0, p, width), values) % p, p)
-    low = _roots(np.multiply.outer(values, np.arange(width)) % p, p)
-    return np.einsum("rb,bw->rw", high, low).ravel()[:p]
 
 
 def solutions_spectrum(table: OrbitTable, b_set, h_set, sum_values) -> complex:
@@ -294,9 +281,11 @@ def solutions_spectrum(table: OrbitTable, b_set, h_set, sum_values) -> complex:
     with S1 over the (b1, h) population, S2 over B, S3 over S; only the
     u-factor enters with a minus sign. Pairing lambda with p - lambda
     conjugates every factor, so the total is real up to roundoff, and its
-    real part is J. h1 + i*h3 go through one length-p FFT; S2, over the
-    #x(B) distinct x(bP), is _point_sums if _direct_b_route(#x(B), p), else
-    a second row of that FFT. O(#B #H + #x(B) p + p log p).
+    real part is J. h1 + i*h3 go through one length-p FFT, unpacked into
+    g = 4i conj(F1) F3 (F_j = fft(h_j) = conj(S_j)). J's B side is the
+    correlation sum_k g[k] conj(F2[k]) = sum_v h2[v] sum_k g[k] psi_k(v):
+    histogram_sums at the #x(B) distinct x(bP) if _direct_b_route(#x(B), p),
+    else g against a second row of that FFT. O(#B #H + #x(B) p + p log p).
     """
     inputs = solution_inputs(table, b_set, h_set, sum_values)
     if inputs is None:
@@ -317,19 +306,22 @@ def solutions_spectrum(table: OrbitTable, b_set, h_set, sum_values) -> complex:
     rows[0].imag[us] = 1.0
     if direct:
         z = np.fft.fft(rows[0], out=rows[0])
-        s2 = _point_sums(values, counts, p)
     else:
         rows[1, values] = counts
-        z, s2 = np.fft.fft(rows, axis=1, out=rows)
-        np.conjugate(s2, out=s2)
-    # With F_j = fft(h_j) = conj(S_j) and W[k] = conj(Z[-k]), real h1 and
-    # h3 give F1 = (Z + W)/2 and F3 = (Z - W)/(2i), and
-    #     sum conj(F1) S2 F3 = sum conj(Z + W) S2 (Z - W) / (4i)
-    # over all of Z_p, k unpaired with -k, so the imaginary part stays a
-    # roundoff check.
+        z, f2 = np.fft.fft(rows, axis=1, out=rows)
+    # With W[k] = conj(Z[-k]), real h1 and h3 give F1 = (Z + W)/2 and
+    # F3 = (Z - W)/(2i). g is summed over all of Z_p, k unpaired with -k,
+    # and its real and imaginary parts apart, so the imaginary part of the
+    # result stays a roundoff check.
     # einsum stays on the calling thread, where a BLAS dot wakes OpenBLAS's.
     w = np.roll(z[::-1], 1)
     np.conjugate(w, out=w)
-    f1 = z + w
-    np.subtract(z, w, out=w)
-    return complex(np.einsum("i,i,i", np.conjugate(f1, out=f1), s2, w) / (4j * p))
+    g = z + w
+    np.conjugate(g, out=g)
+    g *= np.subtract(z, w, out=w)
+    if direct:
+        total = np.einsum("v,v", counts, histogram_sums(g.real, values)
+                          + 1j * histogram_sums(g.imag, values))
+    else:
+        total = np.einsum("i,i", g, np.conjugate(f2, out=f2))
+    return complex(total / (4j * p))

@@ -14,15 +14,16 @@ from .errors import ZeroInverse, check_cap
 # keeps every O(p) enumeration loop in the package affordable.
 MODULUS_CAP = 1 << 31
 
-_MR_WITNESSES = (2, 7, 61)  # deterministic for all n < 4_759_123_141 > 2^32
+_MR_WITNESSES = (2, 7, 61)
+IS_PRIME_BOUND = 4_759_123_141  # 48781 * 97561, the least strong pseudoprime to all three
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact below 4_759_123_141; ValueError from there."""
+    """Deterministic Miller-Rabin, exact below IS_PRIME_BOUND; ValueError from there."""
     if n < 2:
         return False
-    if n >= 4_759_123_141:  # = 48781 * 97561, a strong pseudoprime to the witnesses
-        raise ValueError(f"is_prime is exact only below 4759123141, got {n}")
+    if n >= IS_PRIME_BOUND:
+        raise ValueError(f"is_prime is exact only below {IS_PRIME_BOUND}, got {n}")
     for small in (2, 3, 5, 7, 11, 13):
         if n % small == 0:
             return n == small

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 from .charsum import SCAN_CAP, bilinear_ratio_scan
 from .errors import EcsumprodError, check_cap
 from .extremal import extremal_report
-from .field import is_prime
+from .field import IS_PRIME_BOUND, is_prime
 from .orbit import build_orbit
 from .residue import euler_phi
 from .rng import derive_seed
@@ -107,6 +107,8 @@ def parse_config(data: dict) -> SweepConfig:
         if (not isinstance(raw, list) or len(raw) != 2
                 or not all(_is_int(v) for v in raw) or raw[0] > raw[1]):
             raise ValueError("p_range must be [lo, hi] with lo <= hi")
+        if raw[1] >= IS_PRIME_BOUND:  # before primes() tests every number below hi
+            raise ValueError(f"is_prime is exact only below {IS_PRIME_BOUND}, got {raw[1]}")
         p_range = (raw[0], raw[1])
 
     def _positive_int(key, default):

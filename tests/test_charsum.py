@@ -1,3 +1,4 @@
+import ast
 import cmath
 import math
 import os
@@ -473,8 +474,9 @@ def _on_each_b_route(spectrum):
 
 
 def test_solutions_spectrum_makes_one_fft_of_two_rows(monkeypatch):
-    # h1 + i*h3 share one complex row; h2 takes direct sums, or a second
-    # row of the same call when the rule is forced to the FFT side
+    # h1 + i*h3 share one complex row; h2 is read by histogram_sums of the
+    # unpacked spectra, or rides in a second row of the same call when the
+    # rule is forced to the FFT side
     shapes = []
     real_fft = np.fft.fft
 
@@ -561,7 +563,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 def test_solutions_spectrum_max_rss_at_p_1000003():
     # pocketfft's Bluestein work space is about 90p bytes a row and
     # invisible to tracemalloc, so a fresh process reads its max RSS: one
-    # row plus the 64p bytes of spectra grew it by 139 MB, two rows by 242
+    # row plus the 48p bytes of spectra grew it by 139 MB, two rows by 242
     src = str(Path(charsum_module.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -569,6 +571,65 @@ def test_solutions_spectrum_max_rss_at_p_1000003():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) * 1024 <= 180e6  # ru_maxrss is in KiB
+
+
+def test_solutions_spectrum_traced_peak_at_p_1000003():
+    # numpy's arrays only: the row h1 + i*h3, its unpacking W and g (16p
+    # bytes each), histogram_sums' 8p-byte grid and the 8T-byte population.
+    # pocketfft's Bluestein work space is not traced; the max-RSS test
+    # above bounds it.
+    table = _table(1000003, 1)
+    a, b = sample_unit_subset(table.order, 8, 1), sample_unit_subset(table.order, 8, 2)
+    h, s = product_index_set(a, b, table.order), sum_set(table, a, b)
+    assert charsum_module._direct_b_route(len(b), table.p)
+    tracemalloc.start()
+    try:
+        solutions_spectrum(table, b, h, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 68 * table.p
+
+
+_BLAS_NAMES = ("dot", "vdot", "inner", "tensordot", "matmul")
+
+
+def _blas_spellings(tree, module):
+    """(line, spelling) of each @ and each dot, vdot, inner, tensordot or
+    matmul named in a parsed module, but matmul inside
+    charsum._matmul_kernel."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = scope + (node.name,)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name in _BLAS_NAMES and not (
+                name == "matmul" and module == "charsum.py" and scope[:1] == ("_matmul_kernel",)):
+            found.append((node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_source_spells_no_blas_call():
+    # Patching np.dot and np.matmul misses a @ b and ndarray.dot, and one
+    # BLAS call grows a fresh process's max RSS by about 0.4 MB.
+    modules = sorted(Path(charsum_module.__file__).parent.glob("*.py"))
+    assert "charsum.py" in [path.name for path in modules]
+    for path in modules:
+        assert _blas_spellings(ast.parse(path.read_text()), path.name) == [], path.name
+    # the scan sees each spelling, and excuses matmul in one function only
+    probe = ast.parse("a @ b\nx @= y\nv.dot(w)\nnp.vdot(a, b)\nnp.inner(a, b)\n"
+                      "np.tensordot(a, b)\nnp.matmul(a, b)\nfrom numpy import dot\ndot(a, b)\n"
+                      "def _matmul_kernel():\n    def kernel():\n        return np.matmul(a, b)\n")
+    assert [name for _, name in _blas_spellings(probe, "charsum.py")] == [
+        "@", "@", "dot", "vdot", "inner", "tensordot", "matmul", "dot"]
+    assert len(_blas_spellings(probe, "sumprod.py")) == 9
 
 
 @pytest.mark.parametrize("blas", ["vdot", "dot", "inner", "matmul"])

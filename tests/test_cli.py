@@ -255,6 +255,10 @@ def test_exit_two_on_p_beyond_the_primality_bound(tmp_path, capsys):
     cfg.write_text(json.dumps({"mode": "theorem2", "p_list": [4759123141]}))
     code, out, err = run(capsys, ["sweep", "--config", str(cfg)])
     assert code == 2 and "exact only below 4759123141" in err and out == ""
+    # so is a p_range that reaches it, before any number is tested
+    cfg.write_text(json.dumps({"mode": "theorem2", "p_range": [5, 2 ** 40]}))
+    code, out, err = run(capsys, ["sweep", "--config", str(cfg)])
+    assert code == 2 and f"exact only below 4759123141, got {2 ** 40}" in err and out == ""
     # a prime between 2^31 and the bound is still a capped cell, not a config error
     cfg.write_text(json.dumps({"mode": "theorem2", "p_list": [2147483659]}))
     code, out, err = run(capsys, ["sweep", "--config", str(cfg), "--format", "json"])

@@ -19,6 +19,7 @@ from ecsumprod import (
     render_json,
     run_sweep,
 )
+from ecsumprod.field import IS_PRIME_BOUND
 from ecsumprod.residue import euler_phi, units_of
 from ecsumprod.sampling import sample_unit_subset
 from oracles import oracle_phi
@@ -109,6 +110,12 @@ def test_parse_config_p_range():
     assert cfg.primes() == (5, 7, 11, 13, 17, 19)
     with pytest.raises(ValueError):
         parse_config({"mode": "identities", "p_range": [20, 1]})
+    # past is_prime's bound, the sweep would test every number below hi first
+    for hi in (IS_PRIME_BOUND, 2 ** 40):
+        with pytest.raises(ValueError, match=f"exact only below {IS_PRIME_BOUND}, got {hi}"):
+            parse_config({"mode": "identities", "p_range": [5, hi]})
+    cfg = parse_config({"mode": "identities", "p_range": [IS_PRIME_BOUND - 19, IS_PRIME_BOUND - 1]})
+    assert cfg.primes() == (IS_PRIME_BOUND - 12,)
 
 
 def test_set_size_rule():

@@ -154,13 +154,22 @@ def _double_h1(monkeypatch):
 
 
 def _raise_one_h2_cell(monkeypatch):
-    # the x of some b in B: every (a, b1 = b2 = b, h = ab) gains a solution
-    real_sums = charsum._point_sums
+    # The direct B side weights histogram_sums of g at each distinct x(bP)
+    # by its count. Doubling both sums at the first x doubles its count, and
+    # every (a, b1 = b2 = b, h = ab) with that x(bP) gains solutions.
+    real_spectrum, real_sums = verify.solutions_spectrum, charsum.histogram_sums
 
-    def perturbed_sums(values, counts, p):
-        return real_sums(values, counts + (np.arange(len(counts)) == 0), p)
+    def doubled_first(hist, lams):
+        sums = real_sums(hist, lams)
+        sums[0] *= 2
+        return sums
 
-    monkeypatch.setattr(charsum, "_point_sums", perturbed_sums)
+    def perturbed_spectrum(*args):
+        with pytest.MonkeyPatch.context() as mp:  # subgroup_sums keeps the real sums
+            mp.setattr(charsum, "histogram_sums", doubled_first)
+            return real_spectrum(*args)
+
+    monkeypatch.setattr(verify, "solutions_spectrum", perturbed_spectrum)
 
 
 def _drop_one_h3_cell(monkeypatch):
