@@ -7,8 +7,8 @@ sqrt(p), so psi factors into two tables of about sqrt(p) roots. At every
 lambda the sums are conj(fft(hist))[lambda], O(p log p) in pocketfft at
 prime p too (Bluestein's chirp-z). Real histograms have conjugate sums
 at lambda and p - lambda, so scans stop at (p-1)/2, and the FFT scans and
-solutions_spectrum carry two histograms per complex row; it reads a third,
-of few values, as a correlation: histogram_sums of the two spectra's product.
+solutions_spectrum carry two histograms per complex row; it reads a third
+as a correlation: histogram_sums of the two spectra's product at its values.
 
 Orthogonality, (1/p) * sum_lambda psi_lambda(z) = [z = 0], is what turns
 solution counting into the factored spectra in solutions_spectrum.
@@ -264,12 +264,6 @@ def subgroup_scan(table: OrbitTable) -> SubgroupScanReport:
     return SubgroupScanReport(max_abs=value, lam=lam, max_over_sqrt_p=value / math.sqrt(p))
 
 
-def _direct_b_route(size_xb: int, p: int) -> bool:
-    """Whether solutions_spectrum takes J's B side by direct sums, not by a
-    second FFT row: #x(B) <= min(64, max(8, p >> 14))."""
-    return size_xb <= min(64, max(8, p >> 14))
-
-
 def solutions_spectrum(table: OrbitTable, b_set, h_set, sum_values) -> complex:
     """The character-expansion value of J, from count_solutions' inputs.
 
@@ -284,8 +278,9 @@ def solutions_spectrum(table: OrbitTable, b_set, h_set, sum_values) -> complex:
     real part is J. h1 + i*h3 go through one length-p FFT, unpacked into
     g = 4i conj(F1) F3 (F_j = fft(h_j) = conj(S_j)). J's B side is the
     correlation sum_k g[k] conj(F2[k]) = sum_v h2[v] sum_k g[k] psi_k(v):
-    histogram_sums at the #x(B) distinct x(bP) if _direct_b_route(#x(B), p),
-    else g against a second row of that FFT. O(#B #H + #x(B) p + p log p).
+    histogram_sums at the #x(B) distinct x(bP), weighted by their counts.
+    O(#B #H + #x(B) p + p log p): for many distinct x(bP) the sums cost
+    more than a second length-p transform would.
     """
     inputs = solution_inputs(table, b_set, h_set, sum_values)
     if inputs is None:
@@ -299,16 +294,10 @@ def solutions_spectrum(table: OrbitTable, b_set, h_set, sum_values) -> complex:
     for b in bs.tolist():
         pop[hs * inv_mod(b, t) % t] += 1
     values, counts = np.unique(xs[bs - 1], return_counts=True)  # h2
-    direct = _direct_b_route(len(values), p)
-    # pocketfft plans a prime length afresh on every call: one call.
-    rows = np.zeros((2 - direct, p), dtype=complex)
-    rows[0].real = np.bincount(xs, weights=pop[1:], minlength=p)
-    rows[0].imag[us] = 1.0
-    if direct:
-        z = np.fft.fft(rows[0], out=rows[0])
-    else:
-        rows[1, values] = counts
-        z, f2 = np.fft.fft(rows, axis=1, out=rows)
+    row = np.zeros(p, dtype=complex)
+    row.real = np.bincount(xs, weights=pop[1:], minlength=p)
+    row.imag[us] = 1.0
+    z = np.fft.fft(row, out=row)
     # With W[k] = conj(Z[-k]), real h1 and h3 give F1 = (Z + W)/2 and
     # F3 = (Z - W)/(2i). g is summed over all of Z_p, k unpaired with -k,
     # and its real and imaginary parts apart, so the imaginary part of the
@@ -319,9 +308,6 @@ def solutions_spectrum(table: OrbitTable, b_set, h_set, sum_values) -> complex:
     g = z + w
     np.conjugate(g, out=g)
     g *= np.subtract(z, w, out=w)
-    if direct:
-        total = np.einsum("v,v", counts, histogram_sums(g.real, values)
-                          + 1j * histogram_sums(g.imag, values))
-    else:
-        total = np.einsum("i,i", g, np.conjugate(f2, out=f2))
+    total = np.einsum("v,v", counts, histogram_sums(g.real, values)
+                      + 1j * histogram_sums(g.imag, values))
     return complex(total / (4j * p))

@@ -244,6 +244,9 @@ def sum_product_report(table: OrbitTable, a_set, b_set) -> SumProductReport:
     j_lower = len(a_set) * len(b_set) ** 2
     if j < j_lower:
         raise InvariantViolation(f"quadruple count {j} fell below the exact bound {j_lower}")
+    # With S = F_p each (b1, b2, h) has exactly one u.
+    if len(s_vals) == q and j != len(b_set) ** 2 * len(h_set):
+        raise InvariantViolation(f"quadruple count {j} with S = F_p is not #B^2 #H")
     if len(t_vals) < -(-len(h_set) // 2):
         raise InvariantViolation("prod set smaller than half the index set")
 

@@ -106,7 +106,7 @@ def run_identity_suite(table: OrbitTable, n_points: int, seed: int) -> list[Chec
     spectrum = solutions_spectrum(table, b_set, h_set, s_vals)
     # FFT roundoff bound through Parseval: the FFT row h1 + i h3 has
     # |h1| <= #B #H and |h3| = sqrt(#S), and g = 4i conj(F1) F3 is read at
-    # x(B) with counts summing to #B (or against |F2| <= #B).
+    # x(B) with counts summing to #B.
     tol = _fft_roundoff(p, len(b_set) ** 2 * len(h_set) * math.sqrt(len(s_vals)))
     ok = (
         abs(spectrum.real - j) < tol

@@ -459,24 +459,9 @@ def test_subgroup_sums_known_value_stays_nonreal(known_table):
     assert abs(got[0].imag) > 1.9
 
 
-# solutions_spectrum's two B-side routes, forced by patching its rule.
-_B_ROUTES = {"direct": lambda size_xb, p: True, "fft": lambda size_xb, p: False}
-
-
-def _on_each_b_route(spectrum):
-    """{route: spectrum()} with _direct_b_route patched to force each route."""
-    values = {}
-    for route, rule in _B_ROUTES.items():
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(charsum_module, "_direct_b_route", rule)
-            values[route] = spectrum()
-    return values
-
-
-def test_solutions_spectrum_makes_one_fft_of_two_rows(monkeypatch):
-    # h1 + i*h3 share one complex row; h2 is read by histogram_sums of the
-    # unpacked spectra, or rides in a second row of the same call when the
-    # rule is forced to the FFT side
+def test_solutions_spectrum_makes_one_fft_row(monkeypatch):
+    # h1 + i*h3 share one complex row and h2 is read by histogram_sums of
+    # the unpacked spectra, whatever #B
     shapes = []
     real_fft = np.fft.fft
 
@@ -487,39 +472,26 @@ def test_solutions_spectrum_makes_one_fft_of_two_rows(monkeypatch):
     monkeypatch.setattr(np.fft, "fft", counting_fft)
     table = _PARITY_TABLES["even_1009"]
     p = table.p
-    a = sample_unit_subset(table.order, 8, 1)
-    b = sample_unit_subset(table.order, 8, 2)
-    h = product_index_set(a, b, table.order)
-    s = sum_set(table, a, b)
-    exact = count_solutions(table, b, h, s)
-    assert charsum_module._direct_b_route(len(b), p)
-    vals = _on_each_b_route(lambda: solutions_spectrum(table, b, h, s))
-    assert shapes == [(p,), (2, p)]
-    for val in vals.values():
+    for size in (8, 64):
+        a = sample_unit_subset(table.order, size, 1)
+        b = sample_unit_subset(table.order, size, 2)
+        h = product_index_set(a, b, table.order)
+        s = sum_set(table, a, b)
+        exact = count_solutions(table, b, h, s)
+        shapes.clear()
+        val = solutions_spectrum(table, b, h, s)
+        assert shapes == [(p,)], size
         assert round(val.real) == exact
         assert abs(val.imag) < spectrum_tolerance(p, len(b), len(h), len(s))
 
 
-def test_direct_b_route_rule():
-    # the identity suite's #B <= 8 takes the direct side at every p
-    for p in (5, 101, 10007, 1000003, 2 ** 31 - 1):
-        assert all(charsum_module._direct_b_route(n, p) for n in range(1, 9))
-    # then up to p >> 14 values, at most 64
-    assert not charsum_module._direct_b_route(9, 10007)
-    assert charsum_module._direct_b_route(61, 1000003)
-    assert not charsum_module._direct_b_route(62, 1000003)
-    assert charsum_module._direct_b_route(64, 2 ** 31 - 1)
-    assert not charsum_module._direct_b_route(65, 2 ** 31 - 1)
-
-
 def _routes_agree(table, b, h, s):
+    """The character route gives count_solutions' J within FFT roundoff."""
     exact = count_solutions(table, b, h, s)
-    vals = _on_each_b_route(lambda: solutions_spectrum(table, b, h, s))
+    val = solutions_spectrum(table, b, h, s)
     tol = charsum_module._fft_roundoff(table.p, len(b) ** 2 * len(h) * math.sqrt(len(s)))
-    for val in vals.values():
-        assert round(val.real) == exact
-        assert abs(val.real - exact) < tol and abs(val.imag) < tol
-    assert abs(vals["direct"] - vals["fft"]) < tol
+    assert round(val.real) == exact
+    assert abs(val.real - exact) < tol and abs(val.imag) < tol
 
 
 @pytest.mark.parametrize("name", sorted(_PARITY_TABLES))
@@ -562,8 +534,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 
 def test_solutions_spectrum_max_rss_at_p_1000003():
     # pocketfft's Bluestein work space is about 90p bytes a row and
-    # invisible to tracemalloc, so a fresh process reads its max RSS: one
-    # row plus the 48p bytes of spectra grew it by 139 MB, two rows by 242
+    # invisible to tracemalloc, so a fresh process reads its max RSS: the
+    # row plus the 48p bytes of spectra grew it by 139 MB
     src = str(Path(charsum_module.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -578,17 +550,20 @@ def test_solutions_spectrum_traced_peak_at_p_1000003():
     # bytes each), histogram_sums' 8p-byte grid and the 8T-byte population.
     # pocketfft's Bluestein work space is not traced; the max-RSS test
     # above bounds it.
+    # #B = 8 is the identity suite's size; #B = 64 has eight times as many
+    # distinct x(bP) for histogram_sums to read.
     table = _table(1000003, 1)
-    a, b = sample_unit_subset(table.order, 8, 1), sample_unit_subset(table.order, 8, 2)
-    h, s = product_index_set(a, b, table.order), sum_set(table, a, b)
-    assert charsum_module._direct_b_route(len(b), table.p)
-    tracemalloc.start()
-    try:
-        solutions_spectrum(table, b, h, s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 68 * table.p
+    for size in (8, 64):
+        a = sample_unit_subset(table.order, size, 1)
+        b = sample_unit_subset(table.order, size, 2)
+        h, s = product_index_set(a, b, table.order), sum_set(table, a, b)
+        tracemalloc.start()
+        try:
+            solutions_spectrum(table, b, h, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 68 * table.p, size
 
 
 _BLAS_NAMES = ("dot", "vdot", "inner", "tensordot", "matmul")
@@ -630,6 +605,52 @@ def test_source_spells_no_blas_call():
     assert [name for _, name in _blas_spellings(probe, "charsum.py")] == [
         "@", "@", "dot", "vdot", "inner", "tensordot", "matmul", "dot"]
     assert len(_blas_spellings(probe, "sumprod.py")) == 9
+
+
+def _dead_private_names(trees):
+    """Module-level _names defined in {module: parsed tree} that no other
+    top-level statement of any of the trees reads, one entry a definition.
+    Reads match by name alone, so a read of one module's _name keeps
+    another module's _name of that spelling alive."""
+    defined, read = [], []
+    for tree in trees.values():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(name, stmt) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.append((node.id, stmt))
+                elif isinstance(node, ast.Attribute):
+                    read.append((node.attr, stmt))
+    return sorted(name for name, stmt in defined
+                  if not any(seen == name and where is not stmt for seen, where in read))
+
+
+def test_source_has_no_dead_private_helpers():
+    # A private helper, class or constant that src/ never reads is dead
+    # code: tests alone may not keep it alive.
+    modules = sorted(Path(charsum_module.__file__).parent.glob("*.py"))
+    assert "charsum.py" in [path.name for path in modules]
+    trees = {path.name: ast.parse(path.read_text()) for path in modules}
+    assert _dead_private_names(trees) == []
+    # the scan sees a function, a class and a constant nobody reads, in
+    # each module that defines it; a recursive call keeps nothing alive,
+    # and a read from a function or from another module does
+    probe = {
+        "a.py": ast.parse("_RULE = 8\n_SEEN: int = 1\nclass _Box:\n    pass\n"
+                          "def _route(n):\n    return _route(n - 1)\n"
+                          "def _used():\n    return _SEEN\n"
+                          "def api():\n    return _used() + b._shared()\n"),
+        "b.py": ast.parse("def _shared():\n    return 0\n_RULE = 9\n"),
+    }
+    assert _dead_private_names(probe) == ["_Box", "_RULE", "_RULE", "_route"]
 
 
 @pytest.mark.parametrize("blas", ["vdot", "dot", "inner", "matmul"])

@@ -359,6 +359,22 @@ def test_invariant_violation_fails_the_cell(monkeypatch, capsys):
     assert "quadruple count 0" in capsys.readouterr().err
 
 
+def test_saturated_sum_set_pins_j(monkeypatch):
+    # all units at p = 101 give S = F_p, where each (b1, b2, h) has exactly
+    # one u: J = #B^2 #H, and a count off by #B still clears J >= #A #B^2
+    curve, summary, point, order = discover_instance(101, seed=1)
+    table = build_orbit(curve, point, order)
+    units = units_of(order)
+    rep = sum_product_report(table, units, units)
+    assert rep.size_s == 101
+    assert rep.solutions == rep.size_b ** 2 * rep.size_h
+    real_count = sumprod_module.count_solutions
+    monkeypatch.setattr(sumprod_module, "count_solutions",
+                        lambda table, b, h, s: real_count(table, b, h, s) + len(b))
+    with pytest.raises(InvariantViolation, match="S = F_p"):
+        sum_product_report(table, units, units)
+
+
 def _outcome(fn, *args):
     """A call's result, or its exception class and message."""
     try:

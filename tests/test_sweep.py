@@ -257,7 +257,8 @@ def test_sweep_interrupts_propagate(monkeypatch, stop):
 def test_theorem2_rows_lie_in_the_band():
     # lhs = #S #T is at least max(#A, #B)^2 / 4 for any sets (an x is hit by
     # at most two units, and #T >= #H / 2 >= max(#A, #B) / 2) and at most
-    # p ceil(phi(T) / 2) (#S <= p, and the units give at most that many x)
+    # p ceil(phi(T) / 2) (#S <= p, and the units give at most that many x);
+    # a row with S = F_p has J = #B^2 #H, one u for each (b1, b2, h)
     rows = []
     for seed in (1, 7):
         for f in (0.25, 0.5, 1.0):
@@ -268,6 +269,8 @@ def test_theorem2_rows_lie_in_the_band():
     for r in rows:
         assert r.error == ""
         assert max(r.sizeA, r.sizeB) ** 2 / 4 <= r.thm_lhs <= r.p * -(-oracle_phi(r.T) // 2)
+        if r.sizeS == r.p:
+            assert r.J == r.sizeB ** 2 * r.sizeH
 
 
 def test_sweep_identities_mode():

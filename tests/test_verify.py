@@ -138,7 +138,7 @@ def _perturb_fft_row(monkeypatch, perturb):
     real_fft = np.fft.fft
 
     def perturbed_fft(row, *args, **kwargs):
-        assert np.ndim(row) == 1  # the suite's #B <= 8 takes the direct B side
+        assert np.ndim(row) == 1
         row = np.array(row, dtype=complex)
         perturb(row)
         return real_fft(row, *args, **kwargs)
@@ -154,7 +154,7 @@ def _double_h1(monkeypatch):
 
 
 def _raise_one_h2_cell(monkeypatch):
-    # The direct B side weights histogram_sums of g at each distinct x(bP)
+    # J's B side weights histogram_sums of g at each distinct x(bP)
     # by its count. Doubling both sums at the first x doubles its count, and
     # every (a, b1 = b2 = b, h = ab) with that x(bP) gains solutions.
     real_spectrum, real_sums = verify.solutions_spectrum, charsum.histogram_sums
