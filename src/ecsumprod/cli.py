@@ -3,7 +3,8 @@
 Subcommands: curve find, verify, sumprod, charsum, extremal, sweep.
 Every run is seeded and reproducible; outputs go to stdout or --out as
 CSV or JSON. Exit codes: 0 all asserted invariants passed, 1 invariant
-violation, 2 usage or config error.
+violation (a failed verify check or any InvariantViolation), 2 usage or
+config error.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import sys
 
 from .charsum import bilinear_ratio_scan, subgroup_scan
 from .curve import CurveParams, curve_summary, point_order
-from .errors import EcsumprodError
+from .errors import EcsumprodError, InvariantViolation
 from .extremal import extremal_report
 from .orbit import build_orbit
 from .residue import units_of
@@ -40,8 +41,7 @@ CHARSUM_FIELDS = INSTANCE_FIELDS + (
     "subgroup_max", "subgroup_lam", "subgroup_over_sqrt_p",
 )
 EXTREMAL_FIELDS = INSTANCE_FIELDS + (
-    "H", "sizeA", "sizeS", "sizeT", "bound_2h_ok", "bound_phi_ok",
-    "ratio", "predicted_sizeA", "sizeA_over_predicted",
+    "H", "sizeA", "sizeS", "sizeT", "ratio", "predicted_sizeA", "sizeA_over_predicted",
 )
 SET_HELP = "members split by commas or whitespace, or @file with the same"
 
@@ -175,10 +175,7 @@ def cmd_charsum(args) -> int:
 def cmd_extremal(args) -> int:
     curve, summary, point, order, table = resolve_instance(args)
     rep = extremal_report(table, args.H)
-    row = {
-        **instance_columns(curve, summary, point, order), **extremal_columns(rep),
-        "bound_2h_ok": rep.bound_2h_ok, "bound_phi_ok": rep.bound_phi_ok,
-    }
+    row = {**instance_columns(curve, summary, point, order), **extremal_columns(rep)}
     emit([row], args.format, args.out, EXTREMAL_FIELDS)
     return 0
 
@@ -253,7 +250,7 @@ def main(argv=None) -> int:
     # ValueError covers a config's json.JSONDecodeError
     except (EcsumprodError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InvariantViolation) else 2
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charsum import histogram_sums
+from .errors import InvariantViolation
 from .orbit import OrbitTable
 from .residue import divisors, euler_phi, mobius, units_of
 from .sumprod import prod_set, sum_set
@@ -27,14 +28,12 @@ def units_with_x_below(table: OrbitTable, window: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExtremalReport:
-    """Sizes and bound checks for one window construction A = B."""
+    """Sizes and the theorem 3 ratio for one window construction A = B."""
 
     h_window: int
     size_a: int
     size_s: int
     size_t: int
-    bound_2h_ok: bool | None  # #S <= 2H-1; only meaningful without wraparound
-    bound_phi_ok: bool  # #T <= phi(T), always applicable
     lhs: float  # max(#S, #T)
     rhs: float | None  # sqrt(p * #A); absent when A is empty
     ratio: float | None  # lhs / rhs; absent when A is empty
@@ -45,8 +44,9 @@ def extremal_report(table: OrbitTable, window: int | None = None) -> ExtremalRep
     """Run the construction at the given window (default floor(phi(T)/2)).
 
     An empty A is reported, not raised: sizes are zero, and rhs and the
-    ratio are absent. bound_2h_ok is None when 2H - 2 wraps past p, since
-    the interval argument says nothing there.
+    ratio are absent. Sums of two x-values below H lie in 0 .. 2H - 2, so
+    #S > 2H - 1 raises InvariantViolation. Once 2H - 2 >= p the interval
+    wraps, and the bound is #S <= p, which always holds.
     """
     t, p = table.order, table.p
     phi = euler_phi(t)
@@ -54,10 +54,9 @@ def extremal_report(table: OrbitTable, window: int | None = None) -> ExtremalRep
         window = phi // 2
     a_set = units_with_x_below(table, window)
     s_vals = sum_set(table, a_set, a_set)
+    if len(s_vals) > max(0, 2 * window - 1):
+        raise InvariantViolation(f"sum set of {len(s_vals)} exceeds 2H - 1 at H = {window}")
     t_vals = prod_set(table, a_set, a_set)
-    bound_2h = None
-    if 2 * window - 2 < p:
-        bound_2h = len(s_vals) <= max(0, 2 * window - 1)
     lhs = float(max(len(s_vals), len(t_vals)))
     rhs = math.sqrt(p * len(a_set)) if len(a_set) else None
     return ExtremalReport(
@@ -65,8 +64,6 @@ def extremal_report(table: OrbitTable, window: int | None = None) -> ExtremalRep
         size_a=len(a_set),
         size_s=len(s_vals),
         size_t=len(t_vals),
-        bound_2h_ok=bound_2h,
-        bound_phi_ok=len(t_vals) <= phi,
         lhs=lhs,
         rhs=rhs,
         ratio=lhs / rhs if rhs else None,

@@ -2,7 +2,6 @@
 
 Field elements are plain integers in canonical form 0 <= a < p; the modulus
 travels as an explicit argument; inverses and powers are the builtin pow.
-Everything here is pure, so tables built on top can be shared by workers.
 """
 
 import operator

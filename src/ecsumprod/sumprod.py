@@ -35,10 +35,10 @@ from .residue import euler_phi, inv_mod, reduce_mod, unit_sieve
 
 # Elements per transient block in the set and count kernels: a block's
 # int64 temporaries (128 kB each) stay in a 2 MB L2 cache. count_solutions
-# takes 1.05 ms a call over the 32 cells of the perfbench sumprod sweep
-# (#B = 56, mean #H = 2127, p near 10^4) with blocks of 2^14, 2^15 or
-# 2^18 elements alike, and that sweep peaks 0.4 MB lower in RSS at 2^14
-# than at 2^15 (2-vCPU Xeon, numpy 2.4.6).
+# takes about 0.6 ms a call, timed in-process over the 32 cells of the
+# perfbench sumprod sweep (#B = 56, mean #H = 2127, p near 10^4), with
+# blocks of 2^14, 2^15 or 2^18 elements alike, and that sweep peaks 0.4 MB
+# lower in RSS at 2^14 than at 2^15 (2-vCPU Xeon, numpy 2.4.6).
 # Index products fit int64: T <= p + 1 + 2 sqrt(p) and p < 2^31.
 BLOCK = 1 << 14
 

@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import re
 import shlex
@@ -11,8 +12,10 @@ import pytest
 
 import ecsumprod.charsum as charsum_module
 import ecsumprod.cli as cli_module
+import ecsumprod.extremal as extremal_module
 import ecsumprod.sumprod as sumprod_module
 from ecsumprod.cli import build_parser, main, parse_member_set
+from ecsumprod.residue import units_of
 from ecsumprod.sweep import RECORD_FIELDS
 
 KNOWN = ["--p", "5", "--a4", "1", "--a6", "1", "--px", "0", "--py", "1"]
@@ -124,7 +127,7 @@ def test_verify_text(capsys):
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0].startswith("instance p=5 a4=1 a6=1 P=(0,1) T=9 N=9")
-    assert len(lines) == 9
+    assert len(lines) == 8
     assert all(line.startswith("PASS ") for line in lines[1:])
 
 
@@ -132,7 +135,7 @@ def test_verify_json(capsys):
     code, out, err = run(capsys, ["verify", *KNOWN, "--format", "json"])
     assert code == 0
     checks = json.loads(out)
-    assert len(checks) == 8
+    assert len(checks) == 7
     assert all(c["ok"] for c in checks)
     assert checks[0]["name"] == "group_order"
 
@@ -195,8 +198,30 @@ def test_extremal_known_row(capsys):
     assert code == 0
     row = json.loads(out)[0]
     assert (row["H"], row["sizeA"], row["sizeS"], row["sizeT"]) == (3, 2, 1, 1)
-    assert row["bound_2h_ok"] is True and row["bound_phi_ok"] is True
+    assert row["ratio"] == pytest.approx(1 / math.sqrt(10))
     assert row["predicted_sizeA"] == pytest.approx(3.6)
+
+
+def _let_every_unit_below_h(monkeypatch):
+    # a broken window filter: sums of every unit's x outgrow 2H - 1
+    monkeypatch.setattr(extremal_module, "units_with_x_below",
+                        lambda table, window: units_of(table.order))
+
+
+def test_extremal_invariant_violation_exits_one(capsys, monkeypatch):
+    _let_every_unit_below_h(monkeypatch)
+    code, out, err = run(capsys, ["extremal", *KNOWN, "--H", "1"])
+    assert code == 1 and out == ""
+    assert err == "error: sum set of 5 exceeds 2H - 1 at H = 1\n"
+
+
+def test_sumprod_invariant_violation_exits_one(capsys, monkeypatch):
+    # all units of the known instance give S = F_5, where J must be #B^2 #H
+    real = sumprod_module.count_solutions
+    monkeypatch.setattr(sumprod_module, "count_solutions",
+                        lambda table, b_set, *rest: real(table, b_set, *rest) + len(b_set))
+    code, out, err = run(capsys, ["sumprod", *KNOWN])
+    assert code == 1 and out == "" and "with S = F_p is not #B^2 #H" in err
 
 
 def test_sweep_writes_file(tmp_path, capsys):
@@ -231,6 +256,15 @@ def test_sweep_invariant_violation_exits_one(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["sweep", "--config", str(cfg), "--format", "json"])
     assert code == 1
     assert [r["error"] for r in json.loads(out)] == ["InvariantViolation"] * 2
+
+
+def test_sweep_theorem3_invariant_violation_exits_one(tmp_path, capsys, monkeypatch):
+    _let_every_unit_below_h(monkeypatch)
+    cfg = tmp_path / "thm3.json"
+    cfg.write_text(json.dumps({"mode": "theorem3", "p_list": [101], "master_seed": 1}))
+    code, out, err = run(capsys, ["sweep", "--config", str(cfg), "--format", "json"])
+    assert code == 1
+    assert [r["error"] for r in json.loads(out)] == ["InvariantViolation"]
 
 
 def test_exit_two_on_bad_config(tmp_path, capsys):

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import ecsumprod.extremal as extremal
 from ecsumprod import (
+    InvariantViolation,
     build_orbit,
     extremal_report,
     mobius_identity_residual,
     mobius_identity_residuals,
     units_with_x_below,
 )
+from ecsumprod.residue import euler_phi, units_of
 from ecsumprod.rng import SplitMix64
 from ecsumprod.sampling import discover_instance
 from oracles import naive_mobius_residual
@@ -28,8 +31,6 @@ def test_units_below_window(known_table):
 def test_report_known_window(known_table):
     rep = extremal_report(known_table, window=3)
     assert (rep.size_a, rep.size_s, rep.size_t) == (2, 1, 1)
-    assert rep.bound_2h_ok is True
-    assert rep.bound_phi_ok is True
     assert rep.ratio == pytest.approx(1 / math.sqrt(10))
     assert rep.predicted_size_a == pytest.approx(3.6)
 
@@ -43,17 +44,23 @@ def test_report_default_window(known_table):
 def test_report_empty_a(known_table):
     rep = extremal_report(known_table, window=0)
     assert (rep.size_a, rep.size_s, rep.size_t) == (0, 0, 0)
-    assert rep.ratio is None
-    assert rep.bound_2h_ok is True  # vacuous: #S = 0 <= max(0, 2H-1) = 0
-    assert rep.bound_phi_ok is True
+    assert rep.ratio is None  # and no raise: #S = 0 <= max(0, 2H-1) = 0
 
 
 def test_report_wraparound_window():
     curve, summary, point, order = discover_instance(61, seed=4)
     table = build_orbit(curve, point, order)
-    rep = extremal_report(table, window=61)
-    assert rep.bound_2h_ok is None  # 2*61 - 2 >= 61, interval wraps
-    assert rep.bound_phi_ok is True
+    rep = extremal_report(table, window=61)  # 2*61 - 2 >= 61, interval wraps
+    assert rep.size_s <= 61 < 2 * 61 - 1
+
+
+def test_report_raises_when_the_sum_set_outgrows_2h(monkeypatch, known_table):
+    # a window filter that lets every unit in: x-values 0, 2, 3, 4 of the
+    # known table sum to more than 2H - 1 = 1 residues at H = 1
+    monkeypatch.setattr(extremal, "units_with_x_below", lambda table, window: units_of(table.order))
+    with pytest.raises(InvariantViolation, match="exceeds 2H - 1 at H = 1"):
+        extremal_report(known_table, window=1)
+    assert extremal_report(known_table, window=3).size_s == 5  # 2H - 1 = 5 = p
 
 
 def test_size_a_monotone_in_window(known_table):
@@ -67,10 +74,8 @@ def test_bounds_hold_across_instances():
         curve, summary, point, order = discover_instance(p, seed=60 + i)
         table = build_orbit(curve, point, order)
         for window in (0, 3, order // 4, None):
-            rep = extremal_report(table, window=window)
-            if rep.bound_2h_ok is not None:
-                assert rep.bound_2h_ok
-            assert rep.bound_phi_ok
+            rep = extremal_report(table, window=window)  # raises past #S <= 2H - 1
+            assert rep.size_t <= euler_phi(order)
             if rep.size_a:
                 assert rep.ratio == pytest.approx(
                     max(rep.size_s, rep.size_t) / math.sqrt(p * rep.size_a))

@@ -355,7 +355,7 @@ def test_invariant_violation_fails_the_cell(monkeypatch, capsys):
     rows = run_sweep(parse_config({"mode": "theorem2", "p_list": [5, 7], "master_seed": 42}))
     assert [r.error for r in rows] == ["InvariantViolation"] * 2
     argv = ["sumprod", "--p", "5", "--a4", "1", "--a6", "1", "--px", "0", "--py", "1"]
-    assert main(argv) == 2
+    assert main(argv) == 1  # an invariant violation, not a usage error
     assert "quadruple count 0" in capsys.readouterr().err
 
 
