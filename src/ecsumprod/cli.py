@@ -73,13 +73,24 @@ def _member_set_or_units(text, flag, order):
     return members
 
 
+def _seed(text):
+    """--seed: an int in [0, 2^64), the range SplitMix64 keys on."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be an int in [0, 2^64), got {text!r}")
+    return seed
+
+
 def _add_instance_args(sub):
     sub.add_argument("--p", type=int, required=True, help="field prime, >= 5")
     sub.add_argument("--a4", type=int, default=None, help="curve coefficient a4")
     sub.add_argument("--a6", type=int, default=None, help="curve coefficient a6")
     sub.add_argument("--px", type=int, default=None, help="base point x")
     sub.add_argument("--py", type=int, default=None, help="base point y")
-    sub.add_argument("--seed", type=int, default=0,
+    sub.add_argument("--seed", type=_seed, default=0,
                      help="seed for anything left unspecified (default 0)")
 
 
@@ -202,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     find = curve_sub.add_parser("find", help="sample usable curves over F_p")
     find.add_argument("--p", type=int, required=True)
     find.add_argument("--count", type=int, default=1)
-    find.add_argument("--seed", type=int, default=0)
+    find.add_argument("--seed", type=_seed, default=0)
     find.add_argument("--allow-supersingular", action="store_true",
                       help="keep curves with trace 0 mod p")
     _add_output_args(find)

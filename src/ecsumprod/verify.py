@@ -3,7 +3,9 @@
 These are the exact (or 1e-9-tight) facts the rest of the package leans
 on; the verify CLI command and the sweep's identities mode both run this
 suite. Every check returns a result instead of raising, so one violation
-never hides another.
+never hides another. The checks draw from one SplitMix64 stream in a fixed
+order; only orthogonality switches, above EXHAUSTIVE_CAP, from an
+exhaustive walk to a sample.
 """
 
 import math
@@ -11,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charsum import (
-    _fft_roundoff, _roots, histogram_sums, solutions_spectrum, subgroup_sums,
-)
+from .charsum import _fft_roundoff, _roots, histogram_sums, solutions_spectrum
 from .curve import INFINITY, scalar_mul
-from .errors import IdentityHasNoX
 from .extremal import mobius_identity_residuals
 from .orbit import OrbitTable, x_of
 from .residue import euler_phi
@@ -23,8 +22,8 @@ from .rng import SplitMix64
 from .sampling import sample_unit_subset
 from .sumprod import count_solutions, product_index_set, sum_set
 
-# Above this p, the orthogonality check samples its root indices and the
-# subgroup bound its lambdas, instead of walking all of F_p x F_p.
+# Above this p, the orthogonality check samples its root indices instead
+# of walking all of F_p x F_p.
 EXHAUSTIVE_CAP = 101
 
 
@@ -54,16 +53,12 @@ def run_identity_suite(table: OrbitTable, n_points: int, seed: int) -> list[Chec
     ok = np.array_equal(table.xs, table.xs[::-1])
     results.append(_check("orbit_symmetry", ok, f"T={t}"))
 
-    # Orbit spot values against an independent double-and-add walk.
+    # Orbit spot values against an independent double-and-add walk; a draw
+    # k = 0 mod T (kP the identity, no x) is skipped.
     bad = 0
     for _ in range(10):
         k = 1 + rng.below(10 * t)
         if k % t == 0:
-            try:
-                x_of(table, k)
-                bad += 1
-            except IdentityHasNoX:
-                pass
             continue
         q = scalar_mul(curve, k % t, point)
         if q is INFINITY or x_of(table, k) != q[0]:
@@ -113,13 +108,5 @@ def run_identity_suite(table: OrbitTable, n_points: int, seed: int) -> list[Chec
         "solution_count", ok,
         f"J={j}, characters={spectrum.real:.6f}, lower={len(a_set) * len(b_set) ** 2}",
     ))
-
-    # Subgroup sums can never beat the term count.
-    if p <= EXHAUSTIVE_CAP:
-        lams = range(1, p)
-    else:
-        lams = sorted({1 + rng.below(p - 1) for _ in range(32)})
-    worst = float(np.abs(subgroup_sums(table, lams)).max())
-    results.append(_check("subgroup_bound", worst <= t - 1 + 1e-9, f"max |sum| {worst:.6f}"))
 
     return results

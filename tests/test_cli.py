@@ -17,6 +17,7 @@ import ecsumprod.sumprod as sumprod_module
 from ecsumprod.cli import build_parser, main, parse_member_set
 from ecsumprod.residue import units_of
 from ecsumprod.sweep import RECORD_FIELDS
+from ecsumprod.verify import run_identity_suite
 
 KNOWN = ["--p", "5", "--a4", "1", "--a6", "1", "--px", "0", "--py", "1"]
 
@@ -122,12 +123,34 @@ def test_readme_constants_match_the_code():
         assert value == int(base) ** int(exp), f"{module}.{name}"
 
 
+def test_readme_verify_paragraph_names_every_check(known_table, known_summary):
+    # README lists the suite's checks in the order run_identity_suite returns them
+    readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+    listed = readme.split("`verify` runs the identity suite", 1)[1].split("per check:", 1)[1]
+    listed = re.findall(r"`(\w+)`", listed.split(".", 1)[0])
+    checks = run_identity_suite(known_table, known_summary.n_points, seed=0)
+    assert listed == [c.name for c in checks]
+
+
+@pytest.mark.parametrize("argv", [["curve", "find", "--p", "1009"], ["verify", "--p", "101"]])
+def test_seed_outside_the_u64_range_exits_two(capsys, argv):
+    # SplitMix64 keys on the seed mod 2^64, so -1 and 2^64 would alias 2^64 - 1 and 0
+    for seed in ("-1", str(1 << 64)):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: must be an int in [0, 2^64), got '{seed}'" in err
+    code, out, err = run(capsys, [*argv, "--seed", str((1 << 64) - 1)])
+    assert code == 0 and out and err == ""
+
+
 def test_verify_text(capsys):
     code, out, err = run(capsys, ["verify", *KNOWN])
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0].startswith("instance p=5 a4=1 a6=1 P=(0,1) T=9 N=9")
-    assert len(lines) == 8
+    assert len(lines) == 7
     assert all(line.startswith("PASS ") for line in lines[1:])
 
 
@@ -135,7 +158,7 @@ def test_verify_json(capsys):
     code, out, err = run(capsys, ["verify", *KNOWN, "--format", "json"])
     assert code == 0
     checks = json.loads(out)
-    assert len(checks) == 7
+    assert len(checks) == 6
     assert all(c["ok"] for c in checks)
     assert checks[0]["name"] == "group_order"
 
