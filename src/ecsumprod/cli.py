@@ -31,18 +31,6 @@ from .sweep import (
 from .verify import run_identity_suite
 
 CURVE_FIELDS = ("p", "a4", "a6", "N", "t", "ordinary", "Px", "Py", "T")
-INSTANCE_FIELDS = ("p", "a4", "a6", "N", "t", "T", "Px", "Py")
-SUMPROD_FIELDS = INSTANCE_FIELDS + (
-    "sizeA", "sizeB", "sizeS", "sizeT", "sizeH",
-    "J", "J_lower", "Delta", "thm_lhs", "thm_rhs", "ratio", "min_branch", "exponent",
-)
-CHARSUM_FIELDS = INSTANCE_FIELDS + (
-    "nu", "sizeK", "sizeM", "lam", "value", "rhs", "ratio",
-    "subgroup_max", "subgroup_lam", "subgroup_over_sqrt_p",
-)
-EXTREMAL_FIELDS = INSTANCE_FIELDS + (
-    "H", "sizeA", "sizeS", "sizeT", "ratio", "predicted_sizeA", "sizeA_over_predicted",
-)
 SET_HELP = "members split by commas or whitespace, or @file with the same"
 
 
@@ -162,7 +150,7 @@ def cmd_sumprod(args) -> int:
         **instance_columns(curve, summary, point, order), **sumprod_columns(rep),
         "min_branch": rep.min_branch, "exponent": rep.exponent,
     }
-    emit([row], args.format, args.out, SUMPROD_FIELDS)
+    emit([row], args.format, args.out, tuple(row))
     return 0
 
 
@@ -179,7 +167,7 @@ def cmd_charsum(args) -> int:
         "subgroup_max": sub.max_abs, "subgroup_lam": sub.lam,
         "subgroup_over_sqrt_p": sub.max_over_sqrt_p,
     }
-    emit([row], args.format, args.out, CHARSUM_FIELDS)
+    emit([row], args.format, args.out, tuple(row))
     return 0
 
 
@@ -187,7 +175,7 @@ def cmd_extremal(args) -> int:
     curve, summary, point, order, table = resolve_instance(args)
     rep = extremal_report(table, args.H)
     row = {**instance_columns(curve, summary, point, order), **extremal_columns(rep)}
-    emit([row], args.format, args.out, EXTREMAL_FIELDS)
+    emit([row], args.format, args.out, tuple(row))
     return 0
 
 

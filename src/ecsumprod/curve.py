@@ -23,7 +23,7 @@ INFINITY = None
 ENUMERATION_CAP = 10_000_000
 
 # Elements per transient int64 block (2 MB) when tabulating f(x) or y^2 over
-# F_p; at the cap the p-length tables are the uint8 or int32 ones below.
+# F_p; at the cap the only p-length tables are the uint8 counts below.
 BLOCK = 1 << 18
 
 # Point counts per running total of AffinePoints: locating a point takes a
@@ -169,17 +169,6 @@ def scalar_mul(curve: CurveParams, k: int, point):
     return (x * zz % p, y * zz * zinv % p)
 
 
-def _half_squares(p: int):
-    """Blocks (y, y*y mod p) of fresh arrays over y = 0 .. (p-1)/2; those
-    squares are distinct."""
-    h = (p - 1) // 2
-    for lo in range(0, h + 1, BLOCK):
-        y = np.arange(lo, min(lo + BLOCK, h + 1), dtype=np.int64)
-        squares = y * y
-        squares %= p
-        yield y, squares
-
-
 def rhs_values(curve: CurveParams, x: np.ndarray) -> np.ndarray:
     """x^3 + a4*x + a6 mod p for an int64 array of canonical x.
 
@@ -205,7 +194,11 @@ def _rhs_blocks(curve: CurveParams):
 def _root_counts(p: int) -> np.ndarray:
     """Number of square roots (0, 1 or 2) of every residue mod p, as uint8."""
     counts = np.zeros(p, dtype=np.uint8)
-    for _, squares in _half_squares(p):
+    half = (p - 1) // 2  # the squares of y = 0 .. half are distinct
+    for lo in range(0, half + 1, BLOCK):
+        squares = np.arange(lo, min(lo + BLOCK, half + 1), dtype=np.int64)
+        squares *= squares
+        squares %= p
         counts[squares] = 2
     counts[0] = 1
     return counts
@@ -222,36 +215,6 @@ def _affine_counts(curve: CurveParams) -> np.ndarray:
         np.take(roots, rhs, out=counts[x0:x0 + len(rhs)])
     counts.flags.writeable = False
     return counts
-
-
-def _smaller_roots(p: int) -> np.ndarray:
-    """Smaller square root of every residue mod p, -1 for non-residues (int32)."""
-    roots = np.full(p, -1, dtype=np.int32)
-    for y, squares in _half_squares(p):
-        roots[squares] = y
-    return roots
-
-
-def enumerate_points(curve: CurveParams):
-    """All points of the curve, identity first, affine points by (x, y).
-
-    Returns (n_points, points) where points[0] is INFINITY. Cost is O(p):
-    a table of smaller square roots, then f(x) for every x in blocks of
-    BLOCK; (x, y) and (x, p - y) come out already sorted since y < p - y.
-    """
-    p = curve.p
-    check_cap("point enumeration", p, ENUMERATION_CAP)
-    roots = _smaller_roots(p)
-    points = [INFINITY]
-    append = points.append
-    for x0, rhs in _rhs_blocks(curve):
-        y_block = roots[rhs]
-        hits = np.flatnonzero(y_block >= 0)
-        for x, y in zip((hits + x0).tolist(), y_block[hits].tolist()):
-            append((x, y))
-            if y:
-                append((x, p - y))
-    return len(points), points
 
 
 class AffinePoints:
@@ -295,6 +258,18 @@ class AffinePoints:
         c, x = self.curve, x0 + j
         y = fp_sqrt(x * x * x + c.a4 * x + c.a6, c.p)
         return (x, c.p - y if rank else y)
+
+
+def enumerate_points(curve: CurveParams):
+    """All points of the curve: the identity, then AffinePoints(curve) in order.
+
+    Returns (n_points, points) where points[0] is INFINITY. Every affine
+    point costs one fp_sqrt, so the list suits small p; sampling indexes
+    AffinePoints without building it.
+    """
+    affine = AffinePoints(curve)
+    points = [INFINITY, *(affine[i] for i in range(len(affine)))]
+    return len(points), points
 
 
 def curve_summary(curve: CurveParams) -> CurveSummary:

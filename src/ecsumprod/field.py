@@ -75,18 +75,15 @@ def legendre(a: int, p: int) -> int:
 def fp_sqrt(a: int, p: int) -> int | None:
     """Smaller square root of a mod p, or None when a is a non-residue.
 
-    p = 3 (mod 4) uses the direct exponent a^((p+1)/4); p = 1 (mod 4) runs
-    Tonelli-Shanks. The returned root r satisfies r <= p - r, so the choice
-    between the two roots is deterministic.
+    Tonelli-Shanks (Cohen, Alg. 1.5.1); for p = 3 (mod 4), s = 1 and
+    t = a^q = 1 skip its loop, leaving r = a^((p+1)/4). The root returned
+    satisfies r <= p - r, so the choice between the two is deterministic.
     """
     a %= p
     if a == 0:
         return 0
     if legendre(a, p) != 1:
         return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
     # Tonelli-Shanks: p - 1 = q * 2^s with q odd, z any non-residue.
     q, s = p - 1, 0
     while q % 2 == 0:

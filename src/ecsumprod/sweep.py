@@ -44,7 +44,7 @@ class SweepConfig:
     p_range: tuple[int, int] | None
     curves_per_p: int
     sets_per_curve: int
-    set_size_rule: tuple[str, float]  # ("fixed", k) or ("fraction", f)
+    set_size_rule: tuple[str, int | float]  # ("fixed", k) or ("fraction", f)
     nu: int
     master_seed: int
 
@@ -56,10 +56,7 @@ class SweepConfig:
 
     def set_size(self, phi: int) -> int:
         kind, value = self.set_size_rule
-        if kind == "fixed":
-            k = int(value)
-        else:
-            k = math.floor(value * phi)
+        k = value if kind == "fixed" else math.floor(value * phi)
         return max(1, min(k, phi))
 
 
@@ -128,6 +125,7 @@ def parse_config(data: dict) -> SweepConfig:
     else:
         if not (_is_int(value) or isinstance(value, float)) or not 0 < value <= 1:
             raise ValueError("fraction must satisfy 0 < f <= 1")
+        value = float(value)  # a fixed size stays an int of any size
 
     master_seed = data.get("master_seed", 0)
     if not _is_int(master_seed) or not 0 <= master_seed < 1 << 64:
@@ -139,7 +137,7 @@ def parse_config(data: dict) -> SweepConfig:
         p_range=p_range,
         curves_per_p=_positive_int("curves_per_p", 1),
         sets_per_curve=_positive_int("sets_per_curve", 1),
-        set_size_rule=(kind, float(value)),
+        set_size_rule=(kind, value),
         nu=_positive_int("nu", 1),
         master_seed=master_seed,
     )

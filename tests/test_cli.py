@@ -247,6 +247,22 @@ def test_sumprod_invariant_violation_exits_one(capsys, monkeypatch):
     assert code == 1 and out == "" and "with S = F_p is not #B^2 #H" in err
 
 
+@pytest.mark.parametrize("command, columns", [
+    ("sumprod", "sizeA,sizeB,sizeS,sizeT,sizeH,J,J_lower,Delta,thm_lhs,thm_rhs,ratio,"
+                "min_branch,exponent"),
+    ("charsum", "nu,sizeK,sizeM,lam,value,rhs,ratio,subgroup_max,subgroup_lam,"
+                "subgroup_over_sqrt_p"),
+    ("extremal", "H,sizeA,sizeS,sizeT,ratio,predicted_sizeA,sizeA_over_predicted"),
+], ids=["sumprod", "charsum", "extremal"])
+def test_report_column_order(capsys, command, columns):
+    # the CSV header and the JSON keys follow the row, instance columns first
+    header = "p,a4,a6,N,t,T,Px,Py," + columns
+    code, out, _ = run(capsys, [command, *KNOWN])
+    assert code == 0 and out.split("\n")[0] == header
+    code, out, _ = run(capsys, [command, *KNOWN, "--format", "json"])
+    assert code == 0 and ",".join(json.loads(out)[0]) == header
+
+
 def test_sweep_writes_file(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
@@ -261,6 +277,16 @@ def test_sweep_writes_file(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()  # reruns are byte-identical
     header = out_a.read_text().split("\n")[0]
     assert header == ",".join(RECORD_FIELDS)
+
+
+def test_sweep_fixed_set_size_beyond_a_double_exits_zero(tmp_path, capsys):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"mode": "theorem2", "p_list": [101], "master_seed": 1,
+                               "set_size_rule": {"fixed": 10**400}}))
+    code, out, err = run(capsys, ["sweep", "--config", str(cfg), "--format", "json"])
+    assert code == 0 and err == ""
+    (row,) = json.loads(out)
+    assert row["error"] == "" and row["sizeA"] == row["sizeB"] > 0
 
 
 def test_sweep_identities_exit_zero(tmp_path, capsys):

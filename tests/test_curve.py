@@ -195,7 +195,8 @@ def test_max_order_point_matches_full_scan():
         for seed in range(4):
             rng = SplitMix64(seed)
             curve, summary = random_curve(p, rng)
-            n, pts = enumerate_points(curve)
+            pts = oracle_points(p, curve.a4, curve.a6)
+            n = len(pts)
             ref = SplitMix64(rng.state)
             draws = [pts[1 + ref.below(n - 1)] for _ in range(min(30, n - 1))]
             orders = [point_order(curve, q, n) for q in draws]
@@ -236,7 +237,7 @@ def test_max_order_point_skips_draws_that_cannot_win(monkeypatch):
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_affine_points_match_enumeration(monkeypatch, p, block):
     # a6 = 0 curves have the point (0, 0), so y = 0 rows occur; p = 1 (mod 4)
-    # takes fp_sqrt's Tonelli-Shanks branch
+    # runs fp_sqrt's Tonelli-Shanks loop, p = 3 (mod 4) skips it
     monkeypatch.setattr(curve_module, "BLOCK", block)
     monkeypatch.setattr(curve_module, "STRIDE", min(block, curve_module.STRIDE))
     tried = 0
@@ -246,7 +247,8 @@ def test_affine_points_match_enumeration(monkeypatch, p, block):
         except ValueError:  # singular for this p
             continue
         tried += 1
-        n, pts = enumerate_points(curve)
+        pts = oracle_points(p, curve.a4, curve.a6)
+        n = len(pts)
         affine = AffinePoints(curve)
         assert len(affine) == n - 1
         assert [affine[i] for i in range(n - 1)] == pts[1:]
@@ -258,19 +260,15 @@ def test_affine_points_match_enumeration(monkeypatch, p, block):
 
 @pytest.mark.parametrize("p", [13, 101])
 def test_block_generators_yield_arrays_that_outlive_the_next_block(monkeypatch, p):
-    # kept blocks, concatenated, must equal the one-shot tables
+    # kept blocks, concatenated, must equal the one-shot table
     curve = CurveParams(p, 2, 3)
     monkeypatch.setattr(curve_module, "BLOCK", 3)
     rhs_blocks = list(curve_module._rhs_blocks(curve))
-    half_squares = list(curve_module._half_squares(p))
-    assert len(rhs_blocks) > 2 and len(half_squares) > 2
+    assert len(rhs_blocks) > 2
     x = np.arange(p, dtype=np.int64)
     assert [x0 for x0, _ in rhs_blocks] == list(range(0, p, 3))
     assert np.array_equal(np.concatenate([f for _, f in rhs_blocks]),
                           (x ** 3 + 2 * x + 3) % p)
-    y = np.arange((p + 1) // 2, dtype=np.int64)
-    assert np.array_equal(np.concatenate([b for b, _ in half_squares]), y)
-    assert np.array_equal(np.concatenate([sq for _, sq in half_squares]), y * y % p)
 
 
 def test_affine_points_cap(monkeypatch):
@@ -335,11 +333,11 @@ def test_affine_points_take_counts_of_their_own_curve_only():
     c1, c2 = CurveParams(101, 1, 1), CurveParams(101, 2, 3)
     curve_summary(c1)
     other = AffinePoints(c2)  # c1's counts are not taken for c2
-    assert [other[i] for i in range(len(other))] == enumerate_points(c2)[1][1:]
+    assert [other[i] for i in range(len(other))] == oracle_points(101, 2, 3)[1:]
     same = AffinePoints(c1)
-    assert [same[i] for i in range(len(same))] == enumerate_points(c1)[1][1:]
+    assert [same[i] for i in range(len(same))] == oracle_points(101, 1, 1)[1:]
     again = AffinePoints(c1)  # a hit: the counts built for same
-    assert [again[i] for i in range(len(again))] == enumerate_points(c1)[1][1:]
+    assert [again[i] for i in range(len(again))] == oracle_points(101, 1, 1)[1:]
     info = curve_module._affine_counts.cache_info()
     assert (info.misses, info.hits, info.currsize) == (3, 1, 1)
     assert again._counts is same._counts and not same._counts.flags.writeable

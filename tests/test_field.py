@@ -51,7 +51,8 @@ def test_sqrt_examples():
 
 
 def test_sqrt_exhaustive_small_primes():
-    # covers both the p = 1 mod 4 (Tonelli-Shanks) and p = 3 mod 4 branches
+    # p = 3 (mod 4) has s = 1, where Tonelli-Shanks skips its loop; p = 1
+    # (mod 4) runs it
     for p in SMALL_PRIMES:
         nonzero_squares = 0
         for a in range(p):

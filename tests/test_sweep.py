@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from dataclasses import asdict
@@ -127,6 +128,16 @@ def test_set_size_rule():
     assert cfg.set_size(1) == 1  # floor would give 0, clamped up
 
 
+def test_fixed_set_size_beyond_a_double_clamps_to_phi():
+    # 10**400 is valid JSON but overflows a float; a fixed size stays an int
+    cfg = config(set_size_rule={"fixed": 10**400})
+    assert cfg.set_size_rule == ("fixed", 10**400)
+    assert cfg.set_size(6) == 6
+    (rec,) = run_sweep(parse_config({"mode": "theorem2", "p_list": [101], "master_seed": 1,
+                                     "set_size_rule": {"fixed": 10**400}}))
+    assert rec.error == "" and rec.sizeA == rec.sizeB == euler_phi(rec.T)
+
+
 def test_sweep_deterministic():
     cfg = config(curves_per_p=2, sets_per_curve=2)
     first = run_sweep(cfg)
@@ -134,6 +145,23 @@ def test_sweep_deterministic():
     assert first == second
     assert render_csv(first) == render_csv(second)
     assert [r.experiment_id for r in first] == list(range(8))
+
+
+def test_sweep_csv_golden():
+    # pins every byte of each mode's CSV; the theorem1 cells at p = 1009
+    # take the scan's FFT route (#M^2 > 2p)
+    golden = {
+        "theorem1": "663032780f3cb689ba516732608fdf7736fec2a64fb67dbfe35f67847d7f50af",
+        "theorem2": "57a9ca97216d0ab2926505ad5f8c30450261dad3cb81770b14940d81ffbf1f6d",
+        "theorem3": "27d899dc8a918e8d1f145be0961a3107d676d860c8d42ffcf565731dccee4784",
+        "identities": "a0c0ff91229a1e5dfe246f946e252448dd188053492f6c6aba1f0dfe7cf8f403",
+    }
+    for mode, digest in golden.items():
+        records = run_sweep(parse_config({
+            "mode": mode, "p_list": [101, 211, 1009], "curves_per_p": 2,
+            "sets_per_curve": 2, "nu": 2, "master_seed": 1}))
+        assert all(r.error == "" for r in records)
+        assert hashlib.sha256(render_csv(records).encode()).hexdigest() == digest, mode
 
 
 def test_sweep_instance_golden():
