@@ -221,13 +221,11 @@ class AffinePoints:
     """The affine points of a curve, x ascending and over each x the smaller
     square root y of f(x) before p - y, indexed without building the list.
 
-    Holds the uint8 point count of every x (p bytes) and the running totals
-    of its strides of STRIDE counts. Point i lies in the first stride whose
-    running total exceeds i; a cumulative sum over that stride alone finds
-    its x, and the rank of i among the points over x picks the smaller
-    root of f(x) (fp_sqrt) or p minus it. The counts that curve_summary
-    tabulated for the same curve, when it was the last one tabulated, are
-    reused rather than built again.
+    Holds the uint8 point count of every x (p bytes, shared with
+    curve_summary) and the number of points before each stride of STRIDE
+    counts. Point i lies in the last stride that starts at or below it; a
+    cumulative sum over that stride alone finds its x and its rank among
+    the points over x. Iteration scans each stride's counts once.
     """
 
     def __init__(self, curve: CurveParams):
@@ -240,35 +238,42 @@ class AffinePoints:
         totals = counts[:full].reshape(-1, STRIDE).sum(axis=1, dtype=np.int64)
         if full < p:
             totals = np.append(totals, counts[full:].sum(dtype=np.int64))
-        self._ends = np.cumsum(totals)
+        self._before = np.cumsum(np.concatenate(([0], totals)))
 
     def __len__(self) -> int:
-        return int(self._ends[-1])
+        return int(self._before[-1])
 
     def __getitem__(self, i: int):
         if not 0 <= i < len(self):
             raise IndexError(f"affine point {i} of {len(self)}")
-        stride = int(np.searchsorted(self._ends, i, side="right"))
-        if stride:
-            i -= int(self._ends[stride - 1])
-        x0 = stride * STRIDE
+        stride = int(np.searchsorted(self._before, i, side="right")) - 1
+        x0, i = stride * STRIDE, i - int(self._before[stride])
         ends = np.cumsum(self._counts[x0:x0 + STRIDE], dtype=np.int64)
         j = int(np.searchsorted(ends, i, side="right"))
         rank = i - (int(ends[j - 1]) if j else 0)  # 0: smaller root, 1: larger
-        c, x = self.curve, x0 + j
+        return self._over(x0 + j)[rank]
+
+    def __iter__(self):
+        for x0 in range(0, self.curve.p, STRIDE):
+            counts = self._counts[x0:x0 + STRIDE]
+            for j in np.flatnonzero(counts).tolist():
+                yield from self._over(x0 + j)[:counts[j]]
+
+    def _over(self, x: int):
+        """(x, y), (x, p - y), y the smaller root of f(x): one point if f(x) = 0."""
+        c = self.curve
         y = fp_sqrt(x * x * x + c.a4 * x + c.a6, c.p)
-        return (x, c.p - y if rank else y)
+        return (x, y), (x, c.p - y)
 
 
 def enumerate_points(curve: CurveParams):
     """All points of the curve: the identity, then AffinePoints(curve) in order.
 
-    Returns (n_points, points) where points[0] is INFINITY. Every affine
+    Returns (n_points, points) where points[0] is INFINITY. Every x with a
     point costs one fp_sqrt, so the list suits small p; sampling indexes
     AffinePoints without building it.
     """
-    affine = AffinePoints(curve)
-    points = [INFINITY, *(affine[i] for i in range(len(affine)))]
+    points = [INFINITY, *AffinePoints(curve)]
     return len(points), points
 
 

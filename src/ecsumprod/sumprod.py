@@ -16,12 +16,12 @@ count_solutions counts them as one gather per (b1, h): with
 g[w] = #{b2 in B : w + x(b2 P) in S}, J = sum over B x H of g(x(h*b1^-1 P)).
 
 A set is a sorted, distinct int64 array, in and out: every public set
-function validates its arguments into that form and returns it, and the
-kernels work on it in blocks of BLOCK elements, sized so a block's
-temporaries stay in L2. Validating a set is one sort and one gather from
-residue.unit_sieve (6 us for 56 units at T = 9930, 25 ms for half the
-units at T = 9999204), so sum_product_report goes through sum_set,
-product_index_set and count_solutions as any caller would.
+function validates its arguments into that form and returns it. S, H and
+J's gather walk their pairs in L2-sized tiles from one generator, _pairs.
+Validating a set is one sort and one gather from residue.unit_sieve (6 us
+for 56 units at T = 9930, 25 ms for half the units at T = 9999204), so
+sum_product_report goes through sum_set, product_index_set and
+count_solutions as any caller would.
 """
 
 import math
@@ -33,12 +33,12 @@ from .errors import InvariantViolation, NotAUnit
 from .orbit import OrbitTable
 from .residue import euler_phi, inv_mod, reduce_mod, unit_sieve
 
-# Elements per transient block in the set and count kernels: a block's
-# int64 temporaries (128 kB each) stay in a 2 MB L2 cache. count_solutions
-# takes about 0.6 ms a call, timed in-process over the 32 cells of the
-# perfbench sumprod sweep (#B = 56, mean #H = 2127, p near 10^4), with
-# blocks of 2^14, 2^15 or 2^18 elements alike, and that sweep peaks 0.4 MB
-# lower in RSS at 2^14 than at 2^15 (2-vCPU Xeon, numpy 2.4.6).
+# Values per tile of _pairs: a tile's int64 temporaries (128 kB each) stay
+# in a 2 MB L2 cache. count_solutions takes about 0.6 ms a call, timed
+# in-process over the 32 cells of the perfbench sumprod sweep (#B = 56,
+# mean #H = 2127, p near 10^4), with tiles of 2^14, 2^15 or 2^18 values
+# alike, and that sweep peaks 0.4 MB lower in RSS at 2^14 than at 2^15
+# (2-vCPU Xeon, numpy 2.4.6).
 # Index products fit int64: T <= p + 1 + 2 sqrt(p) and p < 2^31.
 BLOCK = 1 << 14
 
@@ -94,21 +94,21 @@ def check_unit_subset(members, t: int) -> np.ndarray:
     return arr
 
 
-def _blocks(n_rows: int, n_cols: int):
-    """(rows, cols) slice pairs tiling an n_rows x n_cols grid, at most
-    BLOCK cells a tile (at least one)."""
-    width = max(1, min(n_cols, BLOCK))
+def _pairs(xs: np.ndarray, ys: np.ndarray, n: int, op):
+    """op(x, y) mod n over xs x ys in the dtype of xs and ys, as fresh tiles of
+    at most BLOCK values (one at least): BLOCK wide or all of ys, as tall as fits."""
+    width = max(1, min(len(ys), BLOCK))
     height = max(1, BLOCK // width)
-    for j in range(0, n_cols, width):
-        for i in range(0, n_rows, height):
-            yield slice(i, i + height), slice(j, j + width)
+    for j in range(0, len(ys), width):
+        for i in range(0, len(xs), height):
+            yield reduce_mod(op.outer(xs[i:i + height], ys[j:j + width]), n)
 
 
 def _distinct(n: int, xs: np.ndarray, ys: np.ndarray, op) -> np.ndarray:
-    """Sorted distinct op(x, y) mod n over xs x ys, by a hit-mask filled in blocks."""
+    """Sorted distinct op(x, y) mod n over xs x ys, by a hit-mask on Z_n."""
     hit = np.zeros(n, dtype=bool)
-    for rows, cols in _blocks(len(xs), len(ys)):
-        hit[reduce_mod(op.outer(xs[rows], ys[cols]), n)] = True
+    for k in _pairs(xs, ys, n, op):
+        hit[k] = True
     return np.flatnonzero(hit)
 
 
@@ -161,13 +161,13 @@ def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
 
     g is built once from one p-length shifted copy of the indicator of S
     per b2 in B, in the narrowest unsigned dtype that holds #B. G is then
-    gathered at the index products h * b1^-1 in blocks of at most BLOCK,
+    gathered at the index products h * b1^-1, tile by tile from _pairs,
     as uint32 when they fit (T <= 2^16) and as int64 otherwise. For each
     b1, h * b1^-1 runs over every unit as h does, so when #H > phi(T) / 2
     the gather runs over the units outside H, and J is #B times the sum
     of G over the units minus that. The work is
     O(#B * min(#H, phi(T) - #H) + #B * p + T), the memory O(p) narrow
-    entries (T < 2p) plus blocks, and the int64 complement of H when it is
+    entries (T < 2p) plus tiles, and the int64 complement of H when it is
     gathered. The character route in charsum shares only the input check,
     solution_inputs; a pure-Python triple loop in the tests pins this
     count on small instances.
@@ -197,11 +197,8 @@ def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
         hs = np.flatnonzero(outside)
         del outside
     inv_b = np.array([inv_mod(b, t) for b in bs.tolist()], dtype=index)
-    hs = hs.astype(index)
-    for rows, cols in _blocks(len(inv_b), len(hs)):
-        k = reduce_mod(np.multiply.outer(inv_b[rows], hs[cols]), t)
-        total += sign * int(np.take(big_g, k).sum())
-    return total
+    pairs = _pairs(inv_b, hs.astype(index), t, np.multiply)
+    return total + sign * sum(int(np.take(big_g, k).sum()) for k in pairs)
 
 
 @dataclass(frozen=True)

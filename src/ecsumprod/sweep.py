@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .charsum import SCAN_CAP, bilinear_ratio_scan
 from .errors import EcsumprodError, check_cap
@@ -315,7 +315,7 @@ def render_csv(records, field_names=RECORD_FIELDS) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(field_names)
     for rec in records:
-        row = rec if isinstance(rec, dict) else asdict(rec)
+        row = rec if isinstance(rec, dict) else vars(rec)
         writer.writerow([_csv_cell(row[name]) for name in field_names])
     return buf.getvalue()
 
@@ -324,7 +324,7 @@ def render_json(records, field_names=RECORD_FIELDS) -> str:
     """JSON array of flat objects; floats serialize via repr and round-trip."""
     rows = []
     for rec in records:
-        row = rec if isinstance(rec, dict) else asdict(rec)
+        row = rec if isinstance(rec, dict) else vars(rec)
         rows.append({name: row[name] for name in field_names})
     return json.dumps(rows, indent=2) + "\n"
 
