@@ -224,8 +224,9 @@ class AffinePoints:
     Holds the uint8 point count of every x (p bytes, shared with
     curve_summary) and the number of points before each stride of STRIDE
     counts. Point i lies in the last stride that starts at or below it; a
-    cumulative sum over that stride alone finds its x and its rank among
-    the points over x. Iteration scans each stride's counts once.
+    cumulative sum over that stride alone finds its x, and the rank of i
+    among the points over x picks the smaller root of f(x) (fp_sqrt) or p
+    minus it.
     """
 
     def __init__(self, curve: CurveParams):
@@ -251,27 +252,17 @@ class AffinePoints:
         ends = np.cumsum(self._counts[x0:x0 + STRIDE], dtype=np.int64)
         j = int(np.searchsorted(ends, i, side="right"))
         rank = i - (int(ends[j - 1]) if j else 0)  # 0: smaller root, 1: larger
-        return self._over(x0 + j)[rank]
-
-    def __iter__(self):
-        for x0 in range(0, self.curve.p, STRIDE):
-            counts = self._counts[x0:x0 + STRIDE]
-            for j in np.flatnonzero(counts).tolist():
-                yield from self._over(x0 + j)[:counts[j]]
-
-    def _over(self, x: int):
-        """(x, y), (x, p - y), y the smaller root of f(x): one point if f(x) = 0."""
-        c = self.curve
+        c, x = self.curve, x0 + j
         y = fp_sqrt(x * x * x + c.a4 * x + c.a6, c.p)
-        return (x, y), (x, c.p - y)
+        return (x, c.p - y if rank else y)
 
 
 def enumerate_points(curve: CurveParams):
     """All points of the curve: the identity, then AffinePoints(curve) in order.
 
-    Returns (n_points, points) where points[0] is INFINITY. Every x with a
-    point costs one fp_sqrt, so the list suits small p; sampling indexes
-    AffinePoints without building it.
+    Returns (n_points, points) where points[0] is INFINITY. Every affine
+    point costs one AffinePoints lookup and fp_sqrt, so the list suits small
+    p; sampling indexes AffinePoints without building it.
     """
     points = [INFINITY, *AffinePoints(curve)]
     return len(points), points

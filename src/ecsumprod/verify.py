@@ -34,6 +34,10 @@ class CheckResult:
     detail: str
 
 
+def _check(name: str, ok: bool, detail: str) -> CheckResult:
+    return CheckResult(name=name, ok=bool(ok), detail=detail)
+
+
 def run_identity_suite(table: OrbitTable, n_points: int, seed: int) -> list[CheckResult]:
     """Run every identity check on one (curve, point) instance."""
     curve = table.curve()
@@ -44,10 +48,10 @@ def run_identity_suite(table: OrbitTable, n_points: int, seed: int) -> list[Chec
 
     # Lagrange: the group order annihilates P, and the recorded order divides it.
     ok = scalar_mul(curve, n_points, point) is INFINITY and n_points % t == 0
-    results.append(CheckResult("group_order", bool(ok), f"N={n_points}, T={t}"))
+    results.append(_check("group_order", ok, f"N={n_points}, T={t}"))
 
     ok = np.array_equal(table.xs, table.xs[::-1])
-    results.append(CheckResult("orbit_symmetry", bool(ok), f"T={t}"))
+    results.append(_check("orbit_symmetry", ok, f"T={t}"))
 
     # Orbit spot values against an independent double-and-add walk; a draw
     # k = 0 mod T (kP the identity, no x) is skipped.
@@ -59,7 +63,7 @@ def run_identity_suite(table: OrbitTable, n_points: int, seed: int) -> list[Chec
         q = scalar_mul(curve, k % t, point)
         if q is INFINITY or x_of(table, k) != q[0]:
             bad += 1
-    results.append(CheckResult("orbit_spot_values", bool(bad == 0), f"{bad} mismatches of 10"))
+    results.append(_check("orbit_spot_values", bad == 0, f"{bad} mismatches of 10"))
 
     # Character orthogonality: (1/p) sum_lambda psi_lambda(z) = [z = 0]. For
     # z != 0, lambda -> lambda z permutes F_p, so every such sum is
@@ -75,13 +79,12 @@ def run_identity_suite(table: OrbitTable, n_points: int, seed: int) -> list[Chec
                      - np.multiply.outer(roots, roots)).max()
     total = histogram_sums(np.ones(p), [1])[0]
     worst = max(abs(total) / p, abs(_roots(0, p) - 1.0), float(product))
-    results.append(CheckResult("orthogonality", bool(worst < 1e-9), f"max residual {worst:.3g}"))
+    results.append(_check("orthogonality", worst < 1e-9, f"max residual {worst:.3g}"))
 
     # Unit-orbit sieve identity, trivial character included.
     lam_list = [0, 1] + [rng.below(p) for _ in range(3)]
     worst = float(mobius_identity_residuals(table, lam_list).max())
-    results.append(CheckResult("mobius_identity", bool(worst < 1e-9 * t),
-                               f"max residual {worst:.3g}"))
+    results.append(_check("mobius_identity", worst < 1e-9 * t, f"max residual {worst:.3g}"))
 
     # Counting route and character route agree on J; exact lower bound holds.
     phi = euler_phi(t)
@@ -101,8 +104,8 @@ def run_identity_suite(table: OrbitTable, n_points: int, seed: int) -> list[Chec
         and round(spectrum.real) == j
         and j >= len(a_set) * len(b_set) ** 2
     )
-    results.append(CheckResult(
-        "solution_count", bool(ok),
+    results.append(_check(
+        "solution_count", ok,
         f"J={j}, characters={spectrum.real:.6f}, lower={len(a_set) * len(b_set) ** 2}",
     ))
 

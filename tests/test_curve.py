@@ -252,7 +252,6 @@ def test_affine_points_match_enumeration(monkeypatch, p, block):
         affine = AffinePoints(curve)
         assert len(affine) == n - 1
         assert [affine[i] for i in range(n - 1)] == pts[1:]
-        assert list(affine) == pts[1:]  # the stride-by-stride listing
         assert enumerate_points(curve) == (n, pts)
         for i in (-1, n - 1):
             with pytest.raises(IndexError):
