@@ -38,7 +38,6 @@ from .errors import (
     OrderNotDividing,
     TooLarge,
     TrivialCharacter,
-    ZeroInverse,
 )
 from .extremal import (
     ExtremalReport,
@@ -47,9 +46,9 @@ from .extremal import (
     mobius_identity_residuals,
     units_with_x_below,
 )
-from .field import fp_inv, fp_sqrt, is_prime, legendre, validate_prime_modulus
+from .field import fp_sqrt, is_prime, legendre, validate_prime_modulus
 from .orbit import OrbitTable, build_orbit, x_of
-from .residue import divisors, euler_phi, factorize, inv_mod, mobius, units_of
+from .residue import divisors, euler_phi, factorize, mobius, units_of
 from .rng import SplitMix64, derive_seed
 from .sampling import discover_instance, max_order_point, random_curve, sample_unit_subset
 from .sumprod import (

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, TrivialCharacter, check_cap
 from .orbit import OrbitTable
 from .sumprod import check_unit_subset, solution_inputs
-from .residue import inv_mod, reduce_mod
+from .residue import reduce_mod
 
 # Full scans cost p or more per K-row; keep them desk-sized.
 SCAN_CAP = 100_000
@@ -292,7 +292,7 @@ def solutions_spectrum(table: OrbitTable, b_set, h_set, sum_values) -> complex:
     # at a time (for fixed b1 the k are distinct), then moved to x(kP).
     pop = np.zeros(t, dtype=np.int64)
     for b in bs.tolist():
-        pop[hs * inv_mod(b, t) % t] += 1
+        pop[hs * pow(b, -1, t) % t] += 1
     values, counts = np.unique(xs[bs - 1], return_counts=True)  # h2
     row = np.zeros(p, dtype=complex)
     row.real = np.bincount(xs, weights=pop[1:], minlength=p)

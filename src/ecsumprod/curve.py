@@ -1,18 +1,20 @@
 """Short Weierstrass curves y^2 = x^3 + a4*x + a6 over F_p, p >= 5.
 
-Affine points are plain (x, y) tuples; the group identity (point at
-infinity) is None. The chord-tangent group law and the exhaustive point
-count are the ground truth that every table and report in the package is
-built on.
+Affine points are plain (x, y) tuples of Python ints, which
+require_on_curve makes of a caller's coordinates (numpy ints too); the
+group identity (point at infinity) is None. The chord-tangent group law
+and the exhaustive point count are the ground truth that every table and
+report in the package is built on.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvariantViolation, NotOnCurve, OrderNotDividing, check_cap
-from .field import fp_inv, fp_sqrt, validate_prime_modulus
+from .field import fp_sqrt, validate_prime_modulus
 from .residue import factorize
 
 # Affine points are (x, y); the group identity is INFINITY (= None).
@@ -67,10 +69,11 @@ class CurveSummary:
 
 
 def is_on_curve(curve: CurveParams, point) -> bool:
-    """True for the identity and for affine points satisfying the equation."""
+    """True for the identity and for affine points satisfying the equation,
+    the coordinates read as Python ints so that numpy ints cannot overflow."""
     if point is INFINITY:
         return True
-    x, y = point
+    x, y = map(operator.index, point)
     p = curve.p
     if not (0 <= x < p and 0 <= y < p):
         return False
@@ -78,16 +81,18 @@ def is_on_curve(curve: CurveParams, point) -> bool:
 
 
 def require_on_curve(curve: CurveParams, point):
+    """The point with Python int coordinates; NotOnCurve if it is off the curve."""
     if not is_on_curve(curve, point):
         raise NotOnCurve(f"{point} does not satisfy the equation of {curve}")
-    return point
+    return point if point is INFINITY else tuple(map(operator.index, point))
 
 
 def point_add(curve: CurveParams, pt1, pt2):
     """Chord-tangent addition.
 
     The inputs are not checked against the curve equation: callers
-    validate at the boundary with require_on_curve.
+    validate at the boundary with require_on_curve. On the curve, the
+    inverted value is never 0 mod p: either x1 != x2, or y1 = y2 != 0.
     """
     if pt1 is INFINITY:
         return pt2
@@ -100,9 +105,9 @@ def point_add(curve: CurveParams, pt1, pt2):
         if (y1 + y2) % p == 0:
             # vertical chord (includes doubling a 2-torsion point)
             return INFINITY
-        slope = (3 * x1 * x1 + curve.a4) * fp_inv(2 * y1, p) % p
+        slope = (3 * x1 * x1 + curve.a4) * pow(2 * y1, -1, p) % p
     else:
-        slope = (y2 - y1) * fp_inv(x2 - x1, p) % p
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
     x3 = (slope * slope - x1 - x2) % p
     y3 = (slope * (x1 - x3) - y1) % p
     return (x3, y3)
@@ -184,13 +189,6 @@ def rhs_values(curve: CurveParams, x: np.ndarray) -> np.ndarray:
     return f
 
 
-def _rhs_blocks(curve: CurveParams):
-    """Blocks (x0, rhs_values at x = x0, x0+1, ...) of fresh arrays covering
-    all of F_p."""
-    for x0 in range(0, curve.p, BLOCK):
-        yield x0, rhs_values(curve, np.arange(x0, min(x0 + BLOCK, curve.p), dtype=np.int64))
-
-
 def _root_counts(p: int) -> np.ndarray:
     """Number of square roots (0, 1 or 2) of every residue mod p, as uint8."""
     counts = np.zeros(p, dtype=np.uint8)
@@ -211,8 +209,9 @@ def _affine_counts(curve: CurveParams) -> np.ndarray:
     """Affine points over every x in F_p (0, 1 or 2), as read-only uint8: p bytes."""
     roots = _root_counts(curve.p)
     counts = np.empty(curve.p, dtype=np.uint8)
-    for x0, rhs in _rhs_blocks(curve):
-        np.take(roots, rhs, out=counts[x0:x0 + len(rhs)])
+    for x0 in range(0, curve.p, BLOCK):
+        x = np.arange(x0, min(x0 + BLOCK, curve.p), dtype=np.int64)
+        np.take(roots, rhs_values(curve, x), out=counts[x0:x0 + BLOCK])
     counts.flags.writeable = False
     return counts
 
@@ -289,7 +288,7 @@ def point_order(curve: CurveParams, point, n_points: int) -> int:
     """
     if point is INFINITY:
         return 1
-    require_on_curve(curve, point)
+    point = require_on_curve(curve, point)
     if scalar_mul(curve, n_points, point) is not INFINITY:
         raise OrderNotDividing(f"{n_points} * {point} is not the identity")
     order = n_points

@@ -5,10 +5,6 @@ class EcsumprodError(Exception):
     """Base class for package-specific errors."""
 
 
-class ZeroInverse(EcsumprodError):
-    """Inversion of zero in a prime field."""
-
-
 class NotAUnit(EcsumprodError):
     """Residue is not invertible modulo the given ring order."""
 

@@ -4,9 +4,7 @@ Field elements are plain integers in canonical form 0 <= a < p; the modulus
 travels as an explicit argument; inverses and powers are the builtin pow.
 """
 
-import operator
-
-from .errors import ZeroInverse, check_cap
+from .errors import check_cap
 
 # Desk-scale cap on the modulus: keeps a product of two canonical
 # representatives below 2^62 (relevant for ports with fixed-width ints) and
@@ -54,14 +52,6 @@ def validate_prime_modulus(p: int) -> int:
     if p < 5 or not is_prime(p):
         raise ValueError(f"modulus must be a prime >= 5, got {p}")
     return p
-
-
-def fp_inv(a: int, p: int) -> int:
-    """Multiplicative inverse of a mod p (builtin pow); ZeroInverse on a = 0 mod p."""
-    a = operator.index(a) % p
-    if a == 0:
-        raise ZeroInverse(f"0 has no inverse mod {p}")
-    return pow(a, -1, p)
 
 
 def legendre(a: int, p: int) -> int:

@@ -5,9 +5,9 @@ afterwards; every sum, count and character evaluation in the package reads
 from it. Its x-values are stored once, as the read-only int64 array xs,
 the walk's only array of its length. The table is a plain frozen
 dataclass: the header (p, a4, a6, P, T) fixes every x(kP), so equality
-and the hash read the header alone, and the constructor checks xs (a
-read-only int64 array of length T-1 with values in [0, p)) without
-copying it. The walk computes kP for k <= T/2 only, on a
+and the hash read the header alone, and the constructor makes the header
+Python ints and checks xs (a read-only int64 array of length T-1 with
+values in [0, p)) without copying it. The walk computes kP for k <= T/2 only, on a
 baby/giant grid: L baby steps iP and about T/(2L) giant steps jL*P by the
 affine law, then every other kP as a baby plus a giant step, many lanes
 per numpy call, with one product-tree inversion per call. It mirrors the
@@ -16,6 +16,7 @@ design, so index k = 0 (mod T) is an error rather than a sentinel value.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,8 @@ class OrbitTable:
     xs: np.ndarray = field(compare=False)
 
     def __post_init__(self):
+        for name in ("p", "a4", "a6", "px", "py", "order"):  # Python ints, for pow
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         xs = self.xs
         if (not isinstance(xs, np.ndarray) or xs.dtype != np.int64
                 or xs.flags.writeable or xs.shape != (self.order - 1,)):
@@ -168,7 +171,7 @@ def build_orbit(curve: CurveParams, point, order: int) -> OrbitTable:
     """
     if point is INFINITY:
         raise NotOnCurve("orbit needs an affine base point, not the identity")
-    require_on_curve(curve, point)
+    point = require_on_curve(curve, point)
     p = curve.p
     if order < 2:
         raise OrderMismatch("an affine point has order >= 2")

@@ -1,6 +1,6 @@
-"""Arithmetic in Z_T: factorization, totient, Mobius, units, inverses by the
-builtin pow, and reduce_mod, the array reduction that the orbit walk and
-the set, J and sampled-character kernels share.
+"""Arithmetic in Z_T: factorization, totient, Mobius, units, and reduce_mod,
+the array reduction that the orbit walk and the set, J and
+sampled-character kernels share.
 
 Every test of unit membership reads one sieve of Z_t, unit_sieve: a
 read-only boolean array of t bytes, cached for the last modulus asked
@@ -8,13 +8,9 @@ for. units_of hands out its support, sumprod.check_unit_subset gathers
 from it, and count_solutions writes into a copy of it.
 """
 
-import math
-import operator
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import NotAUnit
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -80,18 +76,6 @@ def unit_sieve(t: int) -> np.ndarray:
 def units_of(t: int) -> np.ndarray:
     """The unit group of Z_t as a sorted int64 array, t >= 2 (a fresh one)."""
     return np.flatnonzero(unit_sieve(t))
-
-
-def inv_mod(a: int, t: int) -> int:
-    """Inverse of a in Z_t, a and t Python or numpy ints; raises NotAUnit otherwise."""
-    t = operator.index(t)  # the builtin pow takes no numpy ints
-    if t < 2:
-        raise ValueError("inv_mod needs t >= 2")
-    a = operator.index(a) % t
-    g = math.gcd(a, t)
-    if g != 1:
-        raise NotAUnit(f"{a} is not invertible mod {t} (gcd {g})")
-    return pow(a, -1, t)
 
 
 def reduce_mod(k: np.ndarray, n: int) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NotAUnit
 from .orbit import OrbitTable
-from .residue import euler_phi, inv_mod, reduce_mod, unit_sieve
+from .residue import euler_phi, reduce_mod, unit_sieve
 
 # Values per tile of _pairs: a tile's int64 temporaries (128 kB each) stay
 # in a 2 MB L2 cache. count_solutions takes about 0.6 ms a call, timed
@@ -196,7 +196,7 @@ def count_solutions(table: OrbitTable, b_set, h_set, sum_values) -> int:
         outside[hs] = False
         hs = np.flatnonzero(outside)
         del outside
-    inv_b = np.array([inv_mod(b, t) for b in bs.tolist()], dtype=index)
+    inv_b = np.array([pow(b, -1, t) for b in bs.tolist()], dtype=index)
     pairs = _pairs(inv_b, hs.astype(index), t, np.multiply)
     return total + sign * sum(int(np.take(big_g, k).sum()) for k in pairs)
 

@@ -12,7 +12,9 @@ from ecsumprod import (
     INFINITY,
     InvariantViolation,
     NotOnCurve,
+    OrbitTable,
     OrderNotDividing,
+    build_orbit,
     curve_summary,
     enumerate_points,
     is_on_curve,
@@ -79,6 +81,25 @@ def test_off_curve_checked(known_curve):
     with pytest.raises(NotOnCurve):
         require_on_curve(known_curve, (1, 1))
     assert require_on_curve(known_curve, (0, 1)) == (0, 1)
+
+
+def test_numpy_int_points_become_python_ints():
+    # x^3 at x near 10^7 wraps in int64; read as Python ints it does not
+    curve, point = CurveParams(9999991, 2, 3), (9999987, 3607449)
+    np_point = tuple(map(np.int64, point))
+    assert is_on_curve(curve, point) and is_on_curve(curve, np_point)
+    assert [type(c) for c in require_on_curve(curve, np_point)] == [int, int]
+    assert require_on_curve(curve, np_point) == point
+    # the group law and the orbit walk take the converted point
+    curve, summary, point, order = discover_instance(1009, 1)
+    np_point = tuple(map(np.int64, point))
+    assert point_order(curve, np_point, summary.n_points) == order
+    table, ref = build_orbit(curve, np_point, np.int64(order)), build_orbit(curve, point, order)
+    assert [type(v) for v in (table.px, table.py, table.order)] == [int, int, int]
+    assert table == ref and np.array_equal(table.xs, ref.xs)
+    header = {k: np.int64(v) for k, v in vars(ref).items() if k != "xs"}
+    copy = OrbitTable(**header, xs=ref.xs)
+    assert {type(v) for k, v in vars(copy).items() if k != "xs"} == {int}
 
 
 def test_enumeration_cap(monkeypatch):
@@ -257,19 +278,6 @@ def test_affine_points_match_enumeration(monkeypatch, p, block):
             with pytest.raises(IndexError):
                 affine[i]
     assert tried >= 5
-
-
-@pytest.mark.parametrize("p", [13, 101])
-def test_block_generators_yield_arrays_that_outlive_the_next_block(monkeypatch, p):
-    # kept blocks, concatenated, must equal the one-shot table
-    curve = CurveParams(p, 2, 3)
-    monkeypatch.setattr(curve_module, "BLOCK", 3)
-    rhs_blocks = list(curve_module._rhs_blocks(curve))
-    assert len(rhs_blocks) > 2
-    x = np.arange(p, dtype=np.int64)
-    assert [x0 for x0, _ in rhs_blocks] == list(range(0, p, 3))
-    assert np.array_equal(np.concatenate([f for _, f in rhs_blocks]),
-                          (x ** 3 + 2 * x + 3) % p)
 
 
 def test_affine_points_cap(monkeypatch):

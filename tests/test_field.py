@@ -1,32 +1,9 @@
-import numpy as np
 import pytest
 
 from conftest import SMALL_PRIMES
-from ecsumprod import CapExceeded, ZeroInverse, fp_inv, fp_sqrt, is_prime, legendre
+from ecsumprod import CapExceeded, fp_sqrt, is_prime, legendre
 from ecsumprod.field import MODULUS_CAP, validate_prime_modulus
 from oracles import oracle_squares
-
-
-def test_inv_examples():
-    assert fp_inv(1, 5) == 1
-    assert fp_inv(2, 5) == 3
-    assert fp_inv(4, 7) == 2
-    with pytest.raises(ZeroInverse):
-        fp_inv(0, 5)
-    with pytest.raises(ZeroInverse):
-        fp_inv(35, 7)  # reduces to zero
-
-
-def test_inv_exhaustive_small_primes():
-    for p in SMALL_PRIMES:
-        for a in range(-2 * p, 2 * p + 1):
-            if a % p == 0:
-                with pytest.raises(ZeroInverse, match=f"^0 has no inverse mod {p}$"):
-                    fp_inv(a, p)
-                continue
-            inv = fp_inv(a, p)
-            assert 0 < inv < p and inv * a % p == 1
-            assert fp_inv(np.int64(a), p) == inv
 
 
 def test_legendre_examples():

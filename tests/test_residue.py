@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ecsumprod import NotAUnit, divisors, euler_phi, factorize, inv_mod, mobius, units_of
+from ecsumprod import divisors, euler_phi, factorize, mobius, units_of
 from ecsumprod.residue import reduce_mod, unit_sieve
 from oracles import oracle_mobius, oracle_phi
 
@@ -72,36 +72,6 @@ def test_unit_sieve_is_cached_read_only_and_lent_as_copies():
             units_of(t)
 
 
-def test_inv_mod_examples():
-    assert inv_mod(2, 9) == 5
-    with pytest.raises(NotAUnit):
-        inv_mod(3, 9)
-    for t in (2, 9, 24, 97, 360):
-        for a in units_of(t):
-            assert inv_mod(a, t) * a % t == 1
-
-
-def test_inv_mod_matches_brute_force():
-    with pytest.raises(ValueError):
-        inv_mod(1, 1)
-    for t in range(2, 201):
-        r = np.arange(t)
-        is_inv = np.multiply.outer(r, r) % t == 1
-        gcd = np.ones(t, dtype=np.int64)  # ascending divisors d of t mark their multiples
-        for d in range(2, t + 1):
-            if t % d == 0:
-                gcd[::d] = d
-        for a in range(-2 * t, 2 * t + 1):
-            m = a % t
-            for a_in, t_in in ((a, t), (np.int64(a), t), (np.int32(a), np.int64(t))):
-                if is_inv[m].any():
-                    assert inv_mod(a_in, t_in) == int(np.argmax(is_inv[m]))
-                else:
-                    with pytest.raises(NotAUnit) as exc:
-                        inv_mod(a_in, t_in)
-                    assert str(exc.value) == f"{m} is not invertible mod {t} (gcd {gcd[m]})"
-
-
 @given(arrays(np.int64, st.integers(0, 64), elements=st.integers(0, (1 << 62) - 1)),
        st.integers(1, 1 << 31))
 def test_reduce_mod_equals_remainder(k, n):
@@ -129,7 +99,7 @@ def test_unit_group_closure_exhaustive():
         unit_set = set(units.tolist())
         products = np.unique(units[:, None] * units[None, :] % t)
         assert set(products.tolist()) <= unit_set
-        assert {inv_mod(int(a), t) for a in units} == unit_set
+        assert {pow(a, -1, t) for a in units.tolist()} == unit_set
 
 
 @given(st.integers(1, 500), st.integers(1, 500))

@@ -11,6 +11,7 @@ from ecsumprod import (
     CurveParams,
     InvariantViolation,
     NotAUnit,
+    bilinear_sum_bound,
     build_orbit,
     count_solutions,
     parse_config,
@@ -94,6 +95,18 @@ def test_report_worked_instance(known_table):
     assert rep.exponent == pytest.approx(math.log(9) / math.log(2))
     assert rep.delta == pytest.approx(
         math.sqrt(3) * 2 ** (2 / 3) * 9 ** (2 / 3) * 5 ** (1 / 12) * math.log(5) ** (1 / 3))
+
+
+def test_report_delta_at_h_2921():
+    # 2921 is the least n with math.sqrt(n) != n ** 0.5; with B = {1}, H = A,
+    # and at T = 9841 Delta and theorem 1's bound part in the last bit
+    assert math.sqrt(2921) != 2921 ** 0.5
+    curve, summary, point, order = discover_instance(10007, seed=3)
+    table = build_orbit(curve, point, order)
+    rep = sum_product_report(table, units_of(order)[:2921], [1])
+    assert (rep.size_h, rep.size_b, order) == (2921, 1, 9841)
+    bound = bilinear_sum_bound(1, 2921, 1, order, curve.p)
+    assert math.isclose(rep.delta, bound, rel_tol=1e-15)
 
 
 def test_report_invariants_random():

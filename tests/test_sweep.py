@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -13,6 +14,7 @@ from ecsumprod import (
     CurveParams,
     ExperimentRecord,
     TooLarge,
+    bilinear_sum_bound,
     build_orbit,
     extremal_report,
     parse_config,
@@ -162,6 +164,19 @@ def test_sweep_csv_golden():
             "sets_per_curve": 2, "nu": 2, "master_seed": 1}))
         assert all(r.error == "" for r in records)
         assert hashlib.sha256(render_csv(records).encode()).hexdigest() == digest, mode
+
+
+def test_delta_is_theorem1_bound():
+    # Delta is theorem 1's bound with K = H, M = B and nu = 1, written out
+    # in sum_product_report with math.sqrt(#H) for #H ** 0.5, so the two
+    # agree to rounding (see test_sumprod's #H = 2921 case)
+    records = run_sweep(parse_config({
+        "mode": "theorem2", "p_list": [101, 211, 1009], "curves_per_p": 2,
+        "sets_per_curve": 2, "nu": 2, "master_seed": 1}))
+    assert len(records) == 12 and all(r.error == "" for r in records)
+    for r in records:
+        bound = bilinear_sum_bound(1, r.sizeH, r.sizeB, r.T, r.p)
+        assert math.isclose(r.Delta, bound, rel_tol=1e-15), r.experiment_id
 
 
 def test_sweep_instance_golden():
